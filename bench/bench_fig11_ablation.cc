@@ -36,7 +36,10 @@ Cells RunConfig(BenchJsonWriter* writer, const std::string& row,
     c.links = "UPP";
     c.seconds = "INF";
   } else if (!stats.completed) {
-    c.links = ">" + std::to_string(links);
+    // Prepended rather than built with operator+(const char*, string&&),
+    // which trips a GCC 12 -Wrestrict false positive in Release builds.
+    c.links = std::to_string(links);
+    c.links.insert(c.links.begin(), '>');
     c.seconds = "INF";
   } else {
     c.links = std::to_string(links);

@@ -1,17 +1,21 @@
 // Parallel-enumeration scaling: sweeps the EnumerateRequest::threads knob
-// over 1/2/4/8 workers for one workload per sharding plan of the parallel
-// driver (api/parallel_driver.h):
+// over 1/2/4/8 workers for one workload per plan of the parallel driver
+// (api/parallel_driver.h). Records are named "<plan>/threads=N":
 //
-//   brute-force   left-mask range sharding on one dense graph
-//   imb           root-branch sharding of the set-enumeration tree
-//   itraversal    connected-component sharding (multi-component graph,
-//   large-mbp     thresholds chosen so the component plan is safe)
-//   itraversal    work-stealing expansion scheduler (one dense component
-//   btraversal    that component sharding cannot split)
+//   brute-force-masks         left-mask range sharding on one dense graph
+//   imb-roots                 root-branch sharding of the set-enumeration
+//                             tree
+//   itraversal-components     connected-component sharding (multi-
+//   large-mbp-components      component graph, thresholds chosen so the
+//                             component plan is safe)
+//   itraversal-one-component  sequential fallback: one dense component
+//   btraversal-one-component  that component sharding cannot split
 //
-// Each row reports wall seconds, the speedup over the 1-thread run, and
-// the delivered solution count — which must be identical down the column;
-// a mismatch means a sharding bug, and the bench says so loudly.
+// Each row reports wall seconds, the speedup over the 1-thread run, the
+// delivered solution count and the engine's work units. Solutions must
+// be identical down the column, and on the sequential-fallback rows so
+// must the work units: extra threads may not add work there. A mismatch
+// means a driver bug, and the bench says so loudly.
 //
 // Speedups track the machine: on a single-core container every row is
 // ~1.0x; the >1 numbers need real hardware threads.
@@ -33,9 +37,11 @@ using namespace kbiplex::bench;
 namespace {
 
 struct Workload {
-  std::string name;
+  std::string plan;   // record-name prefix, unique per workload
+  std::string label;  // human-readable description
   BipartiteGraph graph;
   EnumerateRequest request;  // threads overwritten per run
+  bool sequential = false;   // the driver runs it on one worker
 };
 
 BipartiteGraph MultiComponentGraph(size_t components, size_t side,
@@ -59,7 +65,8 @@ std::vector<Workload> MakeWorkloads(bool quick) {
 
   {
     Workload w;
-    w.name = "brute-force (mask sharding)";
+    w.plan = "brute-force-masks";
+    w.label = "brute-force (mask sharding)";
     const size_t side = quick ? 12 : 14;
     w.graph = ErdosRenyiProbBipartite(side, side, 0.5, &rng);
     w.request.algorithm = "brute-force";
@@ -67,7 +74,8 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   {
     Workload w;
-    w.name = "imb (root-branch sharding)";
+    w.plan = "imb-roots";
+    w.label = "imb (root-branch sharding)";
     w.graph = ErdosRenyiProbBipartite(quick ? 24 : 30, quick ? 24 : 30,
                                       0.25, &rng);
     w.request.algorithm = "imb";
@@ -77,7 +85,8 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   {
     Workload w;
-    w.name = "itraversal (component sharding)";
+    w.plan = "itraversal-components";
+    w.label = "itraversal (component sharding)";
     w.graph = MultiComponentGraph(8, quick ? 14 : 18, 0.45, 99);
     w.request.algorithm = "itraversal";
     w.request.theta_left = 3;   // safe: theta_l > k_r, theta_r > 2 k_l
@@ -86,7 +95,8 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   {
     Workload w;
-    w.name = "large-mbp (component sharding)";
+    w.plan = "large-mbp-components";
+    w.label = "large-mbp (component sharding)";
     w.graph = MultiComponentGraph(8, quick ? 16 : 20, 0.4, 77);
     w.request.algorithm = "large-mbp";
     w.request.theta_left = 4;
@@ -95,11 +105,13 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   // One dense connected component with no size thresholds: the component
   // plan is both unsafe (thetas do not exclude cross-component MBPs) and
-  // useless (one shard), so these rows exercise the work-stealing
-  // traversal scheduler.
+  // useless (one shard), so the driver runs the sequential engine and
+  // these rows pin that more threads cost nothing.
   {
     Workload w;
-    w.name = "itraversal (work stealing, one dense component)";
+    w.plan = "itraversal-one-component";
+    w.label = "itraversal (sequential fallback, one dense component)";
+    w.sequential = true;
     const size_t side = quick ? 9 : 11;
     w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
     w.request.algorithm = "itraversal";
@@ -107,7 +119,9 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   {
     Workload w;
-    w.name = "btraversal (work stealing, one dense component)";
+    w.plan = "btraversal-one-component";
+    w.label = "btraversal (sequential fallback, one dense component)";
+    w.sequential = true;
     const size_t side = quick ? 9 : 10;
     w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
     w.request.algorithm = "btraversal";
@@ -127,12 +141,14 @@ int main(int argc, char** argv) {
   bool consistent = true;
   for (Workload& w : MakeWorkloads(quick)) {
     Enumerator enumerator(w.graph);
-    std::cout << "== " << w.name << " (|L|=" << w.graph.NumLeft()
+    std::cout << "== " << w.label << " (|L|=" << w.graph.NumLeft()
               << ", |R|=" << w.graph.NumRight()
               << ", |E|=" << w.graph.NumEdges() << ", k=1) ==\n";
-    TextTable table({"threads", "seconds", "speedup", "solutions"});
+    TextTable table(
+        {"threads", "seconds", "speedup", "solutions", "work_units"});
     double base_seconds = 0;
     uint64_t base_solutions = 0;
+    uint64_t base_work = 0;
     for (int threads : {1, 2, 4, 8}) {
       w.request.threads = threads;
       EnumerateStats stats;
@@ -146,23 +162,32 @@ int main(int argc, char** argv) {
       if (threads == 1) {
         base_seconds = stats.seconds;
         base_solutions = stats.solutions;
+        base_work = stats.work_units;
       } else if (stats.solutions != base_solutions) {
+        std::cout << "ERROR: " << w.plan << " threads=" << threads
+                  << " delivered " << stats.solutions << " solutions, "
+                  << base_solutions << " at threads=1\n";
+        consistent = false;
+      } else if (w.sequential && stats.work_units != base_work) {
+        std::cout << "ERROR: " << w.plan << " threads=" << threads
+                  << " did " << stats.work_units << " work units, "
+                  << base_work << " at threads=1\n";
         consistent = false;
       }
-      writer.AddRun(w.request.algorithm + "/threads=" +
-                        std::to_string(threads),
-                    w.name, w.request, stats);
+      writer.AddRun(w.plan + "/threads=" + std::to_string(threads), w.label,
+                    w.request, stats);
       char speedup[32];
       std::snprintf(speedup, sizeof(speedup), "%.2fx",
                     stats.seconds > 0 ? base_seconds / stats.seconds : 1.0);
       table.AddRow({std::to_string(threads), FormatSeconds(stats.seconds),
-                    speedup, std::to_string(stats.solutions)});
+                    speedup, std::to_string(stats.solutions),
+                    std::to_string(stats.work_units)});
     }
     table.Print(std::cout);
     std::cout << "\n";
   }
   if (!consistent) {
-    std::cout << "ERROR: solution counts diverged across thread counts\n";
+    std::cout << "ERROR: results diverged across thread counts\n";
     return 1;
   }
   return 0;

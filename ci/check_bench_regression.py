@@ -5,9 +5,11 @@ For every BENCH_*.json tracked at HEAD, fetches the same file at HEAD~1
 (via `git show`) and compares per-record wall_seconds and, when present,
 the serving counters requests_per_sec / p50_s / p99_s. A record regresses
 when it got slower (or lower-throughput) beyond TOLERANCE. Records are
-matched by their "name" label; added or removed records are reported but
-never fail the check, and a file with no previous version is skipped —
-the first commit of a bench cannot regress.
+matched by their "name" label, so a file whose records repeat a name fails
+the check outright: only one of the duplicates could ever be compared.
+Added or removed records are reported but never fail the check, and a
+file with no previous version is skipped — the first commit of a bench
+cannot regress.
 
 Bench numbers come from shared CI runners, so the tolerance is generous:
 this check catches "accidentally quadratic", not single-digit noise.
@@ -22,10 +24,12 @@ baseline never silently disables the gate).
 baseline status, without comparing anything; the CI job logs it first so
 a "no perf regressions" verdict always shows what was actually checked.
 
-Exit status: 1 when any matched record regressed beyond tolerance.
+Exit status: 1 when any matched record regressed beyond tolerance or any
+file repeats a record name.
 """
 
 import argparse
+import collections
 import glob
 import json
 import subprocess
@@ -64,6 +68,12 @@ def records_by_name(doc):
     return {r["name"]: r for r in doc.get("records", []) if "name" in r}
 
 
+def duplicate_names(doc):
+    counts = collections.Counter(
+        r["name"] for r in doc.get("records", []) if "name" in r)
+    return sorted(n for n, c in counts.items() if c > 1)
+
+
 def ratio_regressed(old, new, direction):
     if old <= 0 or new <= 0:
         return False
@@ -74,6 +84,12 @@ def ratio_regressed(old, new, direction):
 
 def check_file(path):
     new_doc = json.load(open(path))
+    duplicates = duplicate_names(new_doc)
+    if duplicates:
+        print(f"  {path}: FAILED — duplicate record names "
+              f"{', '.join(duplicates)}; records are matched by name, so "
+              f"all but one of each would go unchecked")
+        return [f"{path}: duplicate record name {n}" for n in duplicates]
     old_doc, baseline = load_previous(path)
     if baseline == "missing":
         print(f"  {path}: SKIPPED — baseline commit has no {path} "
@@ -162,7 +178,7 @@ def main():
     for path in paths:
         regressions.extend(check_file(path))
     if regressions:
-        print("\nperf regressions beyond tolerance:")
+        print("\nperf regressions beyond tolerance or duplicate names:")
         for r in regressions:
             print(f"  {r}")
         return 1

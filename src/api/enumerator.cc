@@ -166,11 +166,6 @@ class TraversalBackend final : public AlgorithmBackend {
                       &opts.local.r_variant);
     reader.TakeBool("polynomial_delay_output",
                     &opts.polynomial_delay_output);
-    reader.TakeChoice("store_backend",
-                      {{"btree", StoreBackend::kBTree},
-                       {"hash", StoreBackend::kHashSet},
-                       {"both", StoreBackend::kBoth}},
-                      &opts.store_backend);
     reader.TakeChoice("candidate_gen",
                       {{"auto", CandidateGenMode::kAuto},
                        {"scan", CandidateGenMode::kScan},

@@ -12,20 +12,16 @@
 //                   top-level branches are independent, so a partition of
 //                   them across workers is disjoint and complete. Always
 //                   available.
-//   traversal       work-stealing expansion (api/traversal_scheduler.h):
-//   family,         workers expand one solution per task with private
-//   large-mbp       sequential engines, deduplicating through a shared
-//                   store — correct on any graph, including the dense
-//                   single-component case sharding cannot touch. Chosen
-//                   when component sharding (below) cannot keep every
-//                   worker busy.
 //   everything else connected-component sharding: each worker enumerates
 //   (traversal      one component's induced subgraph. Only equivalent
 //   family,         when the size thresholds provably exclude solutions
 //   large-mbp,      spanning several components (see
-//   inflation)      ComponentShardingIsSafe); otherwise the facade falls
-//                   back to the sequential path rather than risk a wrong
-//                   answer.
+//   inflation)      ComponentShardingIsSafe) and at least two components
+//                   can host a solution; otherwise the facade runs the
+//                   sequential engine. One component is never split:
+//                   dividing its solution graph across workers would
+//                   switch off the exclusion prune (Section 3.5), which
+//                   costs more work than the extra workers recover.
 //
 // Global budgets stay global: workers share one Delivery guarding the
 // caller's sink with a mutex and counting delivered solutions atomically;

@@ -1,65 +1,23 @@
 #include "core/solution_store.h"
 
-#include <cassert>
+#include <string>
 
 namespace kbiplex {
 
-SolutionStore::SolutionStore(StoreBackend backend, size_t btree_order)
-    : backend_(backend), tree_(btree_order) {}
+SolutionStore::SolutionStore(size_t btree_order) : tree_(btree_order) {}
 
 bool SolutionStore::Insert(const Biplex& b) {
-  const std::string key = EncodeBiplexKey(b);
-  switch (backend_) {
-    case StoreBackend::kBTree:
-      return tree_.Insert(key);
-    case StoreBackend::kHashSet:
-      return hash_.insert(key).second;
-    case StoreBackend::kBoth: {
-      bool a = tree_.Insert(key);
-      bool h = hash_.insert(key).second;
-      assert(a == h);
-      return a;
-    }
-  }
-  return false;
+  return tree_.Insert(EncodeBiplexKey(b));
 }
 
 bool SolutionStore::Contains(const Biplex& b) const {
-  const std::string key = EncodeBiplexKey(b);
-  switch (backend_) {
-    case StoreBackend::kBTree:
-      return tree_.Contains(key);
-    case StoreBackend::kHashSet:
-      return hash_.count(key) > 0;
-    case StoreBackend::kBoth: {
-      bool a = tree_.Contains(key);
-      bool h = hash_.count(key) > 0;
-      assert(a == h);
-      return a;
-    }
-  }
-  return false;
+  return tree_.Contains(EncodeBiplexKey(b));
 }
 
-size_t SolutionStore::Size() const {
-  switch (backend_) {
-    case StoreBackend::kBTree:
-      return tree_.Size();
-    case StoreBackend::kHashSet:
-      return hash_.size();
-    case StoreBackend::kBoth:
-      assert(tree_.Size() == hash_.size());
-      return tree_.Size();
-  }
-  return 0;
-}
+size_t SolutionStore::Size() const { return tree_.Size(); }
 
 void SolutionStore::ForEach(
     const std::function<void(const Biplex&)>& fn) const {
-  if (backend_ == StoreBackend::kHashSet) {
-    for (const std::string& key : hash_) fn(DecodeBiplexKey(key));
-    return;
-  }
   tree_.ForEach([&](std::string_view key) { fn(DecodeBiplexKey(key)); });
 }
 

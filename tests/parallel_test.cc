@@ -1,8 +1,8 @@
 // Tests of the parallel enumeration subsystem: the thread pool, the
 // component decomposition, the thread-safe sink wrapper, cancellation
-// chaining, and — the load-bearing property — that the multi-threaded
-// driver delivers exactly the 1-thread solution set for every registered
-// algorithm.
+// chaining, the canonical-order SortingSink, and — the load-bearing
+// property — that the multi-threaded driver delivers exactly the 1-thread
+// solution set for every registered algorithm.
 #include <atomic>
 #include <set>
 #include <string>
@@ -13,6 +13,7 @@
 
 #include "api/enumerator.h"
 #include "api/parallel_driver.h"
+#include "api/solution_sink.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "test_support.h"
@@ -319,6 +320,127 @@ TEST(ParallelBudgets, NegativeThreadsRejected) {
   EnumerateStats stats = Enumerate(g, req, &sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_NE(stats.error.find("threads"), std::string::npos);
+}
+
+// --------------------------------------- one component: sequential ----
+
+/// A dense graph that is one connected component with high probability —
+/// the case component sharding cannot split, so every traversal-family
+/// request on it runs the sequential engine whatever `threads` says.
+BipartiteGraph DenseComponent() { return MakeRandomGraph({7, 7, 0.7, 91}); }
+
+TEST(ParallelFacade, TraversalFamilyAgreesOnSingleDenseComponent) {
+  const BipartiteGraph g = DenseComponent();
+  Enumerator enumerator(g);
+  for (const char* name : {"itraversal", "itraversal-es", "itraversal-es-rs",
+                           "btraversal", "large-mbp"}) {
+    const bool large = name == std::string("large-mbp");
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = large ? 3 : 0;
+    req.theta_right = large ? 3 : 0;
+    req.threads = 1;
+    EnumerateStats seq_stats;
+    const std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
+    ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
+    for (int threads : {2, 4, 8}) {
+      req.threads = threads;
+      EnumerateStats stats;
+      const std::vector<Biplex> got = enumerator.Collect(req, &stats);
+      ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
+      EXPECT_TRUE(stats.completed) << name << " threads=" << threads;
+      ASSERT_EQ(got, expect) << name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelFacade, OneComponentDoesNoExtraWorkAtMoreThreads) {
+  // Splitting one component across workers would have to give up the
+  // exclusion prune and multiply the work; the facade must instead run
+  // the exclusion-pruned sequential engine at every thread count.
+  const BipartiteGraph g = MakeRandomGraph({11, 11, 0.6, 95});
+  ASSERT_EQ(ConnectedComponents(g).size(), 1u);
+  Enumerator enumerator(g);
+  for (const char* name : {"itraversal", "large-mbp"}) {
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 3;
+    req.theta_right = 3;
+    req.threads = 1;
+    EnumerateStats seq;
+    const uint64_t expect = enumerator.Count(req, &seq);
+    ASSERT_TRUE(seq.ok()) << name << ": " << seq.error;
+    ASSERT_GT(seq.work_units, 0u) << name;
+    for (int threads : {2, 4}) {
+      req.threads = threads;
+      EnumerateStats par;
+      EXPECT_EQ(enumerator.Count(req, &par), expect) << name;
+      ASSERT_TRUE(par.ok()) << name << ": " << par.error;
+      EXPECT_EQ(par.work_units, seq.work_units)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
+// --------------------------------------------------------- SortingSink ---
+
+TEST(SortingSink, FlushForwardsInCanonicalOrder) {
+  CollectingSink inner(/*sorted=*/false);
+  SortingSink sorter(&inner);
+  EXPECT_TRUE(sorter.ThreadCompatible());
+  EXPECT_TRUE(sorter.Accept(Biplex{{2}, {0}}));
+  EXPECT_TRUE(sorter.Accept(Biplex{{0, 1}, {1}}));
+  EXPECT_TRUE(sorter.Accept(Biplex{{0}, {2}}));
+  EXPECT_EQ(sorter.buffered(), 3u);
+  EXPECT_EQ(inner.size(), 0u);  // nothing forwarded before Flush
+  EXPECT_TRUE(sorter.Flush());
+  EXPECT_EQ(sorter.buffered(), 0u);
+  const std::vector<Biplex> got = inner.Take();
+  const std::vector<Biplex> want = {
+      Biplex{{0}, {2}}, Biplex{{0, 1}, {1}}, Biplex{{2}, {0}}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(SortingSink, InnerRefusalStopsFlushEarly) {
+  int accepted = 0;
+  CallbackSink inner([&](const Biplex&) { return ++accepted < 2; });
+  SortingSink sorter(&inner);
+  sorter.Accept(Biplex{{1}, {1}});
+  sorter.Accept(Biplex{{0}, {0}});
+  sorter.Accept(Biplex{{2}, {2}});
+  EXPECT_FALSE(sorter.Flush());
+  EXPECT_EQ(accepted, 2);  // the refusal consumed the second solution
+  EXPECT_EQ(sorter.buffered(), 0u);  // buffer cleared either way
+}
+
+TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
+  // Three components with theta = 3 (safe for k = 1): the parallel run
+  // takes the component plan, whose workers deliver in arbitrary order.
+  const BipartiteGraph g = DisjointUnion(
+      DisjointUnion(MakeRandomGraph({6, 6, 0.7, 96}),
+                    MakeRandomGraph({6, 6, 0.7, 97})),
+      MakeRandomGraph({6, 6, 0.7, 98}));
+  Enumerator enumerator(g);
+  EnumerateRequest req;
+  req.algorithm = "itraversal";
+  req.theta_left = 3;
+  req.theta_right = 3;
+  req.threads = 1;
+  CollectingSink seq_inner(/*sorted=*/false);
+  SortingSink seq_sorter(&seq_inner);
+  ASSERT_TRUE(enumerator.Run(req, &seq_sorter).ok());
+  seq_sorter.Flush();
+  const std::vector<Biplex> expect = seq_inner.Take();
+  ASSERT_GT(expect.size(), 3u);
+
+  req.threads = 4;
+  CollectingSink par_inner(/*sorted=*/false);
+  SortingSink par_sorter(&par_inner);
+  ASSERT_TRUE(enumerator.Run(req, &par_sorter).ok());
+  par_sorter.Flush();
+  // Identical *sequence*, not just set: this is the property the CLI
+  // --sort flag and the wire "sort" key build their byte-stability on.
+  EXPECT_EQ(par_inner.Take(), expect);
 }
 
 // ----------------------------------------------- parallel imb bugfixes --
