@@ -131,7 +131,7 @@ std::vector<Biplex> TimedRun(const BipartiteGraph& g,
                              EnumerateStats* stats) {
   CollectingSink sink(/*sorted=*/true);
   WallTimer timer;
-  *stats = Enumerator(g).Run(req, &sink);
+  *stats = Enumerate(g, req, &sink);
   *seconds = timer.ElapsedSeconds();
   if (!stats->ok()) {
     std::fprintf(stderr, "FATAL: run rejected: %s\n", stats->error.c_str());

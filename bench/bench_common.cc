@@ -111,7 +111,7 @@ EnumerateRequest MakeRequest(const std::string& algorithm, int k,
 EnumerateStats RunCounting(const BipartiteGraph& g,
                            const EnumerateRequest& request) {
   CountingSink sink;
-  EnumerateStats stats = Enumerator(g).Run(request, &sink);
+  EnumerateStats stats = Enumerate(g, request, &sink);
   if (!stats.ok()) {
     std::fprintf(stderr, "bench request rejected (%s): %s\n",
                  request.algorithm.c_str(), stats.error.c_str());

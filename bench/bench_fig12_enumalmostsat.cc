@@ -37,7 +37,7 @@ std::vector<Workload> BuildWorkloads(const BipartiteGraph& g, int k,
     solutions.push_back(b);
     return true;
   });
-  Enumerator(g).Run(req, &collect);
+  Enumerate(g, req, &collect);
   Rng rng(seed);
   std::vector<Workload> out;
   for (const Biplex& b : solutions) {

@@ -6,7 +6,7 @@
 // Entries print INF when the per-run time budget was exhausted and OUT
 // when the inflation baseline refuses the memory blow-up, mirroring the
 // paper's INF/OUT markers. All four algorithms run through the unified
-// Enumerator facade, selected by registry name.
+// Enumerate entry point, selected by registry name.
 #include <iostream>
 #include <string>
 

@@ -7,7 +7,7 @@
 // over a budgeted prefix of the enumeration (first 50k outputs or the time
 // budget) and mark entries produced by a partial run with '*'. Entries
 // with no output inside the budget print INF. Every algorithm runs through
-// the unified Enumerator facade, selected by registry name.
+// the one-shot Enumerate entry point, selected by registry name.
 #include <iostream>
 #include <string>
 
@@ -39,7 +39,7 @@ std::string Measure(BenchJsonWriter* writer, const std::string& row,
     d.RecordOutput();
     return true;
   });
-  EnumerateStats stats = Enumerator(g).Run(req, &sink);
+  EnumerateStats stats = Enumerate(g, req, &sink);
   if (stats.completed) d.Finish();
   BenchJsonWriter::Record r;
   r.name = row + "/" + algo;

@@ -117,7 +117,7 @@ void BM_EnumAlmostSat(benchmark::State& state) {
     if (b.Size() <= 300) sols.push_back(b);
     return true;
   });
-  Enumerator(g).Run(bench::MakeRequest("itraversal", k, 50, 0), &sink);
+  Enumerate(g, bench::MakeRequest("itraversal", k, 50, 0), &sink);
   if (sols.empty()) {
     state.SkipWithError("no solutions");
     return;
@@ -156,10 +156,9 @@ BENCHMARK(BM_ExtendToMaximal);
 
 void BM_ITraversalFirst100(benchmark::State& state) {
   auto g = bench::MakeDataset(bench::FindDataset("Crime"));
-  Enumerator enumerator(g);
   for (auto _ : state) {
     CountingSink sink;
-    enumerator.Run(bench::MakeRequest("itraversal", 1, 100, 0), &sink);
+    Enumerate(g, bench::MakeRequest("itraversal", 1, 100, 0), &sink);
     benchmark::DoNotOptimize(sink.count());
   }
 }
@@ -171,10 +170,9 @@ BENCHMARK(BM_ITraversalFirst100);
 void BM_ITraversalFirst100Accel(benchmark::State& state) {
   auto g = bench::MakeDataset(bench::FindDataset("Crime"));
   g.BuildAdjacencyIndex();
-  Enumerator enumerator(g);
   for (auto _ : state) {
     CountingSink sink;
-    enumerator.Run(bench::MakeRequest("itraversal", 1, 100, 0), &sink);
+    Enumerate(g, bench::MakeRequest("itraversal", 1, 100, 0), &sink);
     benchmark::DoNotOptimize(sink.count());
   }
 }

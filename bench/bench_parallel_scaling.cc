@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   BenchJsonWriter writer("parallel_scaling");
   bool consistent = true;
   for (Workload& w : MakeWorkloads(quick)) {
-    Enumerator enumerator(w.graph);
     std::cout << "== " << w.label << " (|L|=" << w.graph.NumLeft()
               << ", |R|=" << w.graph.NumRight()
               << ", |E|=" << w.graph.NumEdges() << ", k=1) ==\n";
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
       w.request.threads = threads;
       EnumerateStats stats;
       CountingSink sink;
-      stats = enumerator.Run(w.request, &sink);
+      stats = Enumerate(w.graph, w.request, &sink);
       if (!stats.ok()) {
         std::cout << "request rejected: " << stats.error << "\n";
         consistent = false;

@@ -7,9 +7,11 @@
 //
 // The workload is the dense synthetic large-MBP shape of
 // bench_candidate_gen (scaled to keep the 10x one-shot loop laptop-fast):
-// both paths run the identical request with adjacency_index=force, so the
-// one-shot path pays an index build per call while the session path
-// amortizes it — plus the renumbering win no one-shot call can access.
+// both paths run the identical request, and the graph's 4,840 edges are
+// above the engine's kAutoIndexMinEdges threshold, so the one-shot path
+// builds a throwaway bitset adjacency index per call while the session
+// path attaches one at prepare time — plus the renumbering win no
+// one-shot call can access.
 // Every run must deliver the same solution count; a mismatch aborts.
 //
 // Results print as a table and are recorded in
@@ -49,10 +51,6 @@ EnumerateRequest WorkloadRequest(const Workload& w) {
   EnumerateRequest req = MakeRequest("itraversal", w.k, w.max_results, 0);
   req.theta_left = w.theta;
   req.theta_right = w.theta;
-  // The acceptance configuration: force the bitset adjacency index in both
-  // paths. One-shot calls build a throwaway engine-local index every time;
-  // the session consumes the one attached at prepare time.
-  req.backend_options["adjacency_index"] = "force";
   return req;
 }
 
@@ -63,8 +61,7 @@ void RunWorkload(const Workload& w, const std::vector<uint64_t>& execute_counts,
       ErdosRenyiBipartite(w.num_left, w.num_right, w.num_edges, &rng);
   const EnumerateRequest req = WorkloadRequest(w);
 
-  std::printf("%s: %zux%zu, %zu edges, k=%d, theta=%zu, first %llu, "
-              "adjacency_index=force\n",
+  std::printf("%s: %zux%zu, %zu edges, k=%d, theta=%zu, first %llu\n",
               w.name.c_str(), plain.NumLeft(), plain.NumRight(),
               plain.NumEdges(), w.k, w.theta,
               static_cast<unsigned long long>(w.max_results));

@@ -68,8 +68,7 @@ int main(int argc, char** argv) {
   size_t count = 0;
   size_t best_size = 0;
   Biplex best;
-  Enumerator enumerator(g);
-  EnumerateStats stats = enumerator.Run(req, [&](const Biplex& b) {
+  CallbackSink sink([&](const Biplex& b) {
     ++count;
     if (b.Size() > best_size) {
       best_size = b.Size();
@@ -77,6 +76,7 @@ int main(int argc, char** argv) {
     }
     return true;
   });
+  EnumerateStats stats = Enumerate(g, req, &sink);
   std::cout << "\nSampled " << count << " maximal " << k << "-biplexes in "
             << stats.seconds << " s"
             << (stats.completed ? " (complete enumeration)" : " (bounded)")

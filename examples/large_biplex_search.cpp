@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   req.theta_left = theta;
   req.theta_right = theta;
   size_t count = 0;
-  Enumerator enumerator(g);
-  EnumerateStats stats = enumerator.Run(req, [&](const Biplex& b) {
+  CallbackSink sink([&](const Biplex& b) {
     ++count;
     if (count <= 10) {
       std::cout << "  #" << count << ": " << b.left.size() << " x "
@@ -44,6 +43,7 @@ int main(int argc, char** argv) {
     }
     return true;
   });
+  EnumerateStats stats = Enumerate(g, req, &sink);
   if (!stats.ok()) {
     std::cerr << "error: " << stats.error << "\n";
     return 1;

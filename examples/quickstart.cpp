@@ -1,5 +1,5 @@
 // Quickstart: build a small bipartite graph, enumerate all maximal
-// k-biplexes through the unified Enumerator facade, and inspect the
+// k-biplexes through the one-shot Enumerate entry point, and inspect the
 // normalized statistics.
 //
 //   ./quickstart            (uses the built-in example graph, k = 1)
@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
             << ", algorithm = " << req.algorithm << "\n\n";
 
   std::cout << "Maximal " << req.k.left << "-biplexes:\n";
-  Enumerator enumerator(g);
-  EnumerateStats stats = enumerator.Run(req, [&](const Biplex& b) {
+  CallbackSink sink([&](const Biplex& b) {
     PrintBiplex(b);
     return true;  // keep enumerating
   });
+  EnumerateStats stats = Enumerate(g, req, &sink);
   if (!stats.ok()) {
     std::cerr << "error: " << stats.error << "\n";
     return 1;

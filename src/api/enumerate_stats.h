@@ -17,7 +17,7 @@
 
 namespace kbiplex {
 
-/// Outcome of one Enumerator run.
+/// Outcome of one QuerySession run.
 struct EnumerateStats {
   /// Registry name of the backend that ran (normalized to lower case).
   std::string algorithm;

@@ -1,9 +1,11 @@
 #include "api/enumerator.h"
 
+#include <charconv>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "api/prepared_graph.h"
@@ -37,14 +39,20 @@ class OptionReader {
     }
   }
 
+  /// Accepts only a plain run of decimal digits that fits in size_t:
+  /// std::from_chars rejects a sign, leading whitespace and overflow, and
+  /// the end check rejects trailing characters.
   void TakeSize(const std::string& key, size_t* out) {
     auto v = Take(key);
     if (!v.has_value()) return;
-    try {
-      *out = static_cast<size_t>(std::stoull(*v));
-    } catch (...) {
+    const char* end = v->data() + v->size();
+    size_t value = 0;
+    auto [ptr, ec] = std::from_chars(v->data(), end, value);
+    if (ec != std::errc() || ptr != end) {
       Fail(key, *v, "a non-negative integer");
+      return;
     }
+    *out = value;
   }
 
   template <typename T>
@@ -166,17 +174,6 @@ class TraversalBackend final : public AlgorithmBackend {
                       &opts.local.r_variant);
     reader.TakeBool("polynomial_delay_output",
                     &opts.polynomial_delay_output);
-    reader.TakeChoice("candidate_gen",
-                      {{"auto", CandidateGenMode::kAuto},
-                       {"scan", CandidateGenMode::kScan},
-                       {"twohop", CandidateGenMode::kTwoHop}},
-                      &opts.candidate_gen);
-    reader.TakeChoice("adjacency_index",
-                      {{"auto", AdjacencyAccelMode::kAuto},
-                       {"off", AdjacencyAccelMode::kOff},
-                       {"force", AdjacencyAccelMode::kForce}},
-                      &opts.adjacency_accel);
-    reader.TakeSize("accel_budget", &opts.accel_budget_bytes);
     if (std::string err = reader.Finish(); !err.empty()) {
       return Rejected(std::move(err));
     }
@@ -219,17 +216,6 @@ class LargeMbpBackend final : public AlgorithmBackend {
 
     OptionReader reader(req.backend_options);
     reader.TakeBool("core_reduction", &opts.core_reduction);
-    reader.TakeChoice("candidate_gen",
-                      {{"auto", CandidateGenMode::kAuto},
-                       {"scan", CandidateGenMode::kScan},
-                       {"twohop", CandidateGenMode::kTwoHop}},
-                      &opts.candidate_gen);
-    reader.TakeChoice("adjacency_index",
-                      {{"auto", AdjacencyAccelMode::kAuto},
-                       {"off", AdjacencyAccelMode::kOff},
-                       {"force", AdjacencyAccelMode::kForce}},
-                      &opts.adjacency_accel);
-    reader.TakeSize("accel_budget", &opts.accel_budget_bytes);
     if (std::string err = reader.Finish(); !err.empty()) {
       return Rejected(std::move(err));
     }
@@ -361,47 +347,10 @@ class BruteForceBackend final : public AlgorithmBackend {
 
 }  // namespace
 
-// ---------------------------------------------------------------- facade --
-
-EnumerateStats Enumerator::Run(const EnumerateRequest& request,
-                               SolutionSink* sink) const {
-  // Prepare + single execute, with no artifacts attached and no session
-  // scratch: a borrowed prepared graph executes exactly like a direct run
-  // on the caller's graph, keeping the one-shot behavior of this shim
-  // compatible with the pre-session API. (Sole deliberate exception: the
-  // sink threading contract — threads != 1 with a sink that does not
-  // declare ThreadCompatible() is now rejected; see api/solution_sink.h.)
-  return internal::RunOnPrepared(*prepared_, /*scratch=*/nullptr, *registry_,
-                                 request, sink);
-}
-
-EnumerateStats Enumerator::Run(
-    const EnumerateRequest& request,
-    const std::function<bool(const Biplex&)>& cb) const {
-  CallbackSink sink(cb);
-  return Run(request, &sink);
-}
-
-std::vector<Biplex> Enumerator::Collect(const EnumerateRequest& request,
-                                        EnumerateStats* stats) const {
-  CollectingSink sink;
-  EnumerateStats s = Run(request, &sink);
-  if (stats != nullptr) *stats = s;
-  return sink.Take();
-}
-
-uint64_t Enumerator::Count(const EnumerateRequest& request,
-                           EnumerateStats* stats) const {
-  CountingSink sink;
-  EnumerateStats s = Run(request, &sink);
-  if (stats != nullptr) *stats = s;
-  return sink.count();
-}
-
 EnumerateStats Enumerate(const BipartiteGraph& g,
                          const EnumerateRequest& request,
                          SolutionSink* sink) {
-  return Enumerator(g).Run(request, sink);
+  return QuerySession(PreparedGraph::Borrow(g)).Run(request, sink);
 }
 
 // -------------------------------------------------------------- builtins --

@@ -1,14 +1,17 @@
-// The unified enumeration facade: one entry point over every maximal
-// k-biplex enumeration backend in the library.
+// The built-in enumeration backends behind AlgorithmRegistry::Global(),
+// and the one-shot Enumerate entry point over them.
 //
-//   Enumerator enumerator(g);
 //   EnumerateRequest req;
 //   req.algorithm = "itraversal";
 //   req.k = KPair::Uniform(2);
 //   CollectingSink sink;
-//   EnumerateStats stats = enumerator.Run(req, &sink);
+//   EnumerateStats stats = Enumerate(g, req, &sink);
 //
-// Registered built-in algorithms (AlgorithmRegistry::Global()):
+// Enumerate is one QuerySession::Run (api/query_session.h) over
+// PreparedGraph::Borrow(g); services answering many queries over one
+// graph should keep a PreparedGraph and a QuerySession instead.
+//
+// Registered built-in algorithms:
 //
 //   name              backend                                  constraints
 //   ----------------  ---------------------------------------  -----------
@@ -30,84 +33,29 @@
 //                     "local_l"                  l10 | l20
 //                     "local_r"                  r10 | r20
 //                     "polynomial_delay_output"  true | false
-//                     "candidate_gen"            auto | scan | twohop
-//                     "adjacency_index"          auto | off | force
-//                     "accel_budget"             <bytes>  (0 = unlimited)
 //   large-mbp:        "core_reduction"           true | false
-//                     "candidate_gen"            auto | scan | twohop
-//                     "adjacency_index"          auto | off | force
-//                     "accel_budget"             <bytes>  (0 = unlimited)
 //   inflation:        "max_inflated_edges"       <N>  (0 = no guard)
 //
-// "candidate_gen" and "adjacency_index" tune the hot-path acceleration of
-// the traversal engines (see core/traversal_options.h); every setting
-// produces the exact same solution set. "adjacency_index" = off stops the
-// engine from building its own index but does not disable an index
-// already attached to the graph — benchmark baselines should use a graph
-// without BuildAdjacencyIndex. "accel_budget" caps the bytes of an
-// engine-local index by demoting rows to compact sorted arrays and then
-// dropping rows back to CSR search (graph/adjacency_index.h); like the
-// other acceleration knobs it never changes the solution set.
+// The traversal engines always use the 2-hop candidate generator where it
+// is provably equivalent to the full scan, and the graph's attached
+// adjacency index or, on graphs with at least kAutoIndexMinEdges edges,
+// an engine-local one (see core/itraversal.cc); neither is a per-request
+// option. Attaching the index is a prepare-time choice
+// (PrepareOptions::adjacency_index).
 #ifndef KBIPLEX_API_ENUMERATOR_H_
 #define KBIPLEX_API_ENUMERATOR_H_
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
 #include "api/enumerate_request.h"
 #include "api/enumerate_stats.h"
-#include "api/prepared_graph.h"
-#include "api/registry.h"
 #include "api/solution_sink.h"
 #include "graph/bipartite_graph.h"
 
 namespace kbiplex {
 
-/// Facade over the algorithm registry: validates a request against the
-/// selected backend's capabilities, runs it, and returns unified stats.
-/// The graph must outlive the facade. Run is const and reentrant; each
-/// call is an independent enumeration.
-///
-/// This is the one-shot compatibility shim over the prepare/execute API
-/// (api/prepared_graph.h + api/query_session.h): it borrows the caller's
-/// graph without attaching any artifact, so each Run pays the full
-/// per-query preprocessing cost. Services answering many queries over one
-/// graph should use PreparedGraph::Prepare + QuerySession instead.
-class Enumerator {
- public:
-  /// Uses the process-wide registry.
-  explicit Enumerator(const BipartiteGraph& g)
-      : Enumerator(g, AlgorithmRegistry::Global()) {}
-
-  /// Uses a custom registry (tests, embedders).
-  Enumerator(const BipartiteGraph& g, const AlgorithmRegistry& registry)
-      : prepared_(PreparedGraph::Borrow(g)), registry_(&registry) {}
-
-  /// Runs the request, delivering solutions to `sink`. Rejected requests
-  /// return stats with a non-empty `error` and no solutions delivered.
-  EnumerateStats Run(const EnumerateRequest& request,
-                     SolutionSink* sink) const;
-
-  /// Convenience: runs with a callback sink.
-  EnumerateStats Run(const EnumerateRequest& request,
-                     const std::function<bool(const Biplex&)>& cb) const;
-
-  /// Convenience: collects and returns the solutions, sorted.
-  std::vector<Biplex> Collect(const EnumerateRequest& request,
-                              EnumerateStats* stats = nullptr) const;
-
-  /// Convenience: counts solutions without materializing them.
-  uint64_t Count(const EnumerateRequest& request,
-                 EnumerateStats* stats = nullptr) const;
-
- private:
-  std::shared_ptr<const PreparedGraph> prepared_;
-  const AlgorithmRegistry* registry_;
-};
-
-/// One-shot form of Enumerator(g).Run(request, sink).
+/// Runs `request` once over the caller's graph, delivering solutions to
+/// `sink`: a QuerySession over PreparedGraph::Borrow(g), so no artifact is
+/// attached and `g` is never mutated. Rejected requests return stats with
+/// a non-empty `error` and no solutions delivered.
 EnumerateStats Enumerate(const BipartiteGraph& g,
                          const EnumerateRequest& request, SolutionSink* sink);
 

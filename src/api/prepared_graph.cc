@@ -73,8 +73,8 @@ std::shared_ptr<const PreparedGraph> PreparedGraph::Prepare(
 std::shared_ptr<const PreparedGraph> PreparedGraph::Borrow(
     const BipartiteGraph& g) {
   // A borrowed graph is never mutated, so every artifact that would attach
-  // to it is disabled — and the shim semantics (pre-session behavior,
-  // byte for byte) also rule out the short-circuit; execution matches a
+  // to it is disabled — and the one-shot Enumerate keeps the backend's
+  // full stats, which rules out the short-circuit; execution matches a
   // direct run on `g`.
   PrepareOptions options;
   options.adjacency_index = AdjacencyAccelMode::kOff;

@@ -16,8 +16,8 @@
 //   }
 //
 // This mirrors the classic prepare/execute split of database engines: the
-// one-shot Enumerate(g, request, sink) facade remains as a thin
-// compatibility shim (prepare + single execute, no artifacts attached).
+// one-shot Enumerate(g, request, sink) is a single QuerySession run over
+// Borrow(g), with no artifacts attached.
 #ifndef KBIPLEX_API_PREPARED_GRAPH_H_
 #define KBIPLEX_API_PREPARED_GRAPH_H_
 
@@ -44,13 +44,24 @@ struct UpdateResult;
 struct EpochBuilder;
 }  // namespace update
 
+/// Whether a PreparedGraph attaches the hybrid bitset adjacency index
+/// (graph/adjacency_index.h) to its execution graph. Every policy yields
+/// the exact same solution sets; only the work differs.
+enum class AdjacencyAccelMode : uint8_t {
+  /// Attach when the graph has at least kAutoIndexMinEdges edges: the
+  /// same threshold at which an engine builds a throwaway per-run index.
+  kAuto,
+  /// Never attach. Engines still build their own per-run index on graphs
+  /// with at least kAutoIndexMinEdges edges.
+  kOff,
+  /// Always attach.
+  kForce,
+};
+
 /// Which artifacts a PreparedGraph applies to its execution graph.
 struct PrepareOptions {
-  /// Attached-adjacency-index policy: kAuto attaches the hybrid bitset
-  /// index when the graph has at least kAutoIndexMinEdges edges (the same
-  /// threshold at which an engine would build a throwaway per-run index),
-  /// kForce always attaches, kOff never does. The attached index is built
-  /// once and shared by every query and session.
+  /// Attached-adjacency-index policy (see AdjacencyAccelMode). The
+  /// attached index is built once and shared by every query and session.
   AdjacencyAccelMode adjacency_index = AdjacencyAccelMode::kAuto;
 
   /// Row threshold forwarded to the index build
@@ -131,7 +142,7 @@ struct UpdateLineage {
 
 /// A graph prepared for repeated querying. Construct through Prepare()
 /// (owning) or Borrow() (non-owning view, used by the one-shot
-/// compatibility shim); instances are immutable from the caller's point of
+/// Enumerate); instances are immutable from the caller's point of
 /// view and every accessor is safe to call concurrently.
 class PreparedGraph {
  public:
@@ -164,7 +175,7 @@ class PreparedGraph {
   bool renumbered() const { return options_.renumber; }
 
   /// True iff this wraps a caller-owned graph (Borrow). Borrowed graphs
-  /// serve the one-shot compatibility shim, so the facade applies none of
+  /// serve the one-shot Enumerate, so sessions apply none of
   /// the session-only execution changes (e.g. the core-bound
   /// short-circuit) to them.
   bool borrowed() const { return owned_ == nullptr; }

@@ -61,14 +61,15 @@ bool CoreBoundProvesEmpty(const PreparedGraph& prepared,
 
 }  // namespace
 
-namespace internal {
+QuerySession::QuerySession(std::shared_ptr<const PreparedGraph> prepared,
+                           const AlgorithmRegistry& registry)
+    : prepared_(std::move(prepared)), registry_(&registry) {}
 
-EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
-                             TraversalScratch* scratch,
-                             const AlgorithmRegistry& registry,
-                             const EnumerateRequest& request,
-                             SolutionSink* sink, bool* short_circuited) {
-  if (short_circuited != nullptr) *short_circuited = false;
+EnumerateStats QuerySession::Run(const EnumerateRequest& request,
+                                 SolutionSink* sink) {
+  ++queries_run_;
+  const PreparedGraph& prepared = *prepared_;
+  const AlgorithmRegistry& registry = *registry_;
   const std::string name = NormalizeAlgorithmName(request.algorithm);
   std::optional<AlgorithmInfo> info = registry.Find(name);
   if (!info.has_value()) {
@@ -125,7 +126,7 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     // compatibility paths keep the pre-session stats (backend counters
     // and all) byte for byte and never pay the core-bound build.
     WallTimer timer;
-    if (short_circuited != nullptr) *short_circuited = true;
+    ++short_circuits_;
     out.completed = true;
     out.seconds = timer.ElapsedSeconds();
   } else {
@@ -137,11 +138,14 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
                        sink);
     SolutionSink* delivery =
         prepared.renumbered() ? static_cast<SolutionSink*>(&mapper) : sink;
-    QueryContext ctx{&prepared, scratch};
+    // The session's scratch is single-threaded state; parallel plans spawn
+    // workers with their own per-run scratch (the driver never forwards
+    // it).
+    QueryContext ctx{&prepared, &scratch_};
     std::optional<EnumerateStats> parallel;
     if (request.threads != 1) {
-      parallel =
-          TryRunParallel(prepared, request, registry, *info, delivery);
+      parallel = internal::TryRunParallel(prepared, request, registry, *info,
+                                          delivery);
     }
     out = parallel.has_value()
               ? std::move(*parallel)
@@ -152,24 +156,6 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     }
   }
   out.algorithm = name;
-  return out;
-}
-
-}  // namespace internal
-
-QuerySession::QuerySession(std::shared_ptr<const PreparedGraph> prepared,
-                           const AlgorithmRegistry& registry)
-    : prepared_(std::move(prepared)), registry_(&registry) {}
-
-EnumerateStats QuerySession::Run(const EnumerateRequest& request,
-                                 SolutionSink* sink) {
-  ++queries_run_;
-  bool short_circuited = false;
-  // The session's scratch is single-threaded state; parallel plans spawn
-  // workers with their own per-run scratch (the driver never forwards it).
-  EnumerateStats out = internal::RunOnPrepared(
-      *prepared_, &scratch_, *registry_, request, sink, &short_circuited);
-  if (short_circuited) ++short_circuits_;
   return out;
 }
 

@@ -53,9 +53,13 @@ class QuerySession {
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
 
-  /// Runs one request, delivering solutions (in input-graph ids) to
-  /// `sink`. Rejected requests return stats with a non-empty `error` and
-  /// no solutions delivered.
+  /// The one execution path of the library: validates `request` against
+  /// the backend's capabilities and the sink's threading contract, applies
+  /// the cached core-bound short-circuit, maps renumbered solutions back
+  /// to input ids, and dispatches to the parallel driver or a sequential
+  /// backend, delivering solutions (in input-graph ids) to `sink`.
+  /// Rejected requests return stats with a non-empty `error` and no
+  /// solutions delivered.
   EnumerateStats Run(const EnumerateRequest& request, SolutionSink* sink);
 
   /// Convenience: runs with a callback sink.
@@ -87,23 +91,6 @@ class QuerySession {
   uint64_t short_circuits_ = 0;
 };
 
-namespace internal {
-
-/// The one execution path behind QuerySession::Run and the Enumerate
-/// compatibility shim: validates `request` against the backend's
-/// capabilities and the sink's threading contract, applies the cached
-/// core-bound short-circuit, maps renumbered solutions back to input ids,
-/// and dispatches to the parallel driver or a sequential backend.
-/// `scratch` may be null (per-run scratch); `short_circuited` (optional)
-/// is set to whether the core bound answered the query without a backend.
-EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
-                             TraversalScratch* scratch,
-                             const AlgorithmRegistry& registry,
-                             const EnumerateRequest& request,
-                             SolutionSink* sink,
-                             bool* short_circuited = nullptr);
-
-}  // namespace internal
 }  // namespace kbiplex
 
 #endif  // KBIPLEX_API_QUERY_SESSION_H_

@@ -46,7 +46,7 @@ class SolutionSink {
 /// Adapts a plain callback to the sink interface. Defaults to declaring
 /// thread compatibility — parallel runs invoke the callback serialized
 /// from worker threads, which plain lambdas tolerate — so the convenience
-/// entry points (Enumerator::Run(cb), QuerySession::Run(cb)) keep working
+/// entry point QuerySession::Run(cb) keeps working
 /// with threads != 1. A callback that captures thread-affine state
 /// (thread_local caches, single-threaded framework handles) should be
 /// constructed with thread_compatible = false to get the same

@@ -55,10 +55,10 @@ using ImbCallback = std::function<bool(const Biplex&)>;
 
 /// iMB-style enumerator. Mirrors TraversalEngine: construct once against
 /// a graph, then Run per query (each call is a fresh enumeration).
-/// External callers with k >= 1 should go through the Enumerator facade
-/// (api/enumerator.h, algorithm "imb"); the k = 0 biclique reuse in
-/// analysis/biclique.cc constructs the engine directly, because the
-/// public biplex API requires budgets >= 1.
+/// External callers with k >= 1 should go through QuerySession or
+/// Enumerate (api/enumerator.h, algorithm "imb"); the k = 0 biclique
+/// reuse in analysis/biclique.cc constructs the engine directly, because
+/// the public biplex API requires budgets >= 1.
 class ImbEngine {
  public:
   /// `g` must outlive the engine; `opts` is copied (the cancel pointer it

@@ -59,8 +59,8 @@ struct InflationBaselineStats {
 
 /// Global inflation enumerator. Mirrors TraversalEngine: construct once
 /// against a graph, then Run per query (each call is a fresh
-/// enumeration). External callers should go through the Enumerator
-/// facade (api/enumerator.h, algorithm "inflation").
+/// enumeration). External callers should go through QuerySession or
+/// Enumerate (api/enumerator.h, algorithm "inflation").
 class InflationEngine {
  public:
   /// `g` must outlive the engine; `opts` is copied (the cancel pointer it

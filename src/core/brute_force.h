@@ -15,7 +15,7 @@ namespace kbiplex {
 /// Enumerates every maximal k-biplex of `g` by checking all 2^(|L|+|R|)
 /// vertex-set pairs. Requires |L| <= 20 and |R| <= 20 and is intended for
 /// graphs with at most ~16 vertices total. Results are sorted. Also
-/// reachable through the Enumerator facade (api/enumerator.h) as
+/// reachable through QuerySession and Enumerate (api/enumerator.h) as
 /// algorithm "brute-force"; tests that need the ground truth directly may
 /// keep calling this.
 std::vector<Biplex> BruteForceMaximalBiplexes(const BipartiteGraph& g,

@@ -41,26 +41,14 @@ class TraversalEngine::Impl {
     }
   }
 
+  /// Uses the graph's attached adjacency index when present; otherwise
+  /// builds an engine-local one for graphs with >= kAutoIndexMinEdges
+  /// edges. Exact-result preserving either way.
   void InitAccel() {
-    switch (opts_.adjacency_accel) {
-      case AdjacencyAccelMode::kOff:
-        break;
-      case AdjacencyAccelMode::kAuto:
-        accel_ = g_.adjacency_index();
-        if (accel_ == nullptr && g_.NumEdges() >= kAutoIndexMinEdges) {
-          owned_accel_ = std::make_unique<AdjacencyIndex>(
-              g_, AdjacencyIndex::kAutoThreshold, opts_.accel_budget_bytes);
-          accel_ = owned_accel_.get();
-        }
-        break;
-      case AdjacencyAccelMode::kForce:
-        accel_ = g_.adjacency_index();
-        if (accel_ == nullptr) {
-          owned_accel_ = std::make_unique<AdjacencyIndex>(
-              g_, AdjacencyIndex::kAutoThreshold, opts_.accel_budget_bytes);
-          accel_ = owned_accel_.get();
-        }
-        break;
+    accel_ = g_.adjacency_index();
+    if (accel_ == nullptr && g_.NumEdges() >= kAutoIndexMinEdges) {
+      owned_accel_ = std::make_unique<AdjacencyIndex>(g_);
+      accel_ = owned_accel_.get();
     }
   }
 
@@ -100,7 +88,6 @@ class TraversalEngine::Impl {
   /// farther than two hops from H — changes nothing), and right-shrinking
   /// must hold so the pruned subtrees cannot contain surviving solutions.
   bool TwoHopApplies() const {
-    if (opts_.candidate_gen == CandidateGenMode::kScan) return false;
     if (!opts_.left_anchored || !opts_.right_shrinking ||
         !opts_.prune_small) {
       return false;
@@ -123,7 +110,6 @@ class TraversalEngine::Impl {
   /// completeness argument for zero-connection candidates, which only
   /// covers the anchored gate.
   GenMode ComputeGenMode() const {
-    if (opts_.candidate_gen == CandidateGenMode::kScan) return GenMode::kScan;
     if (TwoHopApplies()) return GenMode::kAnchored;
     // The exclusion strategy filters candidates against exclusion sets
     // that grow while a frame is active; the anchored generator handles

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "api/enumerator.h"
+#include "api/prepared_graph.h"
+#include "api/query_session.h"
 #include "core/brute_force.h"
 #include "graph/generators.h"
 #include "test_support.h"
@@ -87,7 +89,7 @@ TEST(Agreement, EveryBackendMatchesBruteForce) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     for (double p : {0.3, 0.5, 0.7}) {
       BipartiteGraph g = MakeRandomGraph({6, 5, p, seed});
-      Enumerator enumerator(g);
+      QuerySession session(PreparedGraph::Borrow(g));
       for (const AgreementCase& c : cases) {
         std::vector<Biplex> expect = FilterBySize(
             BruteForceMaximalBiplexes(g, c.k), c.theta_left, c.theta_right);
@@ -99,7 +101,7 @@ TEST(Agreement, EveryBackendMatchesBruteForce) {
           req.theta_left = c.theta_left;
           req.theta_right = c.theta_right;
           EnumerateStats stats;
-          std::vector<Biplex> got = enumerator.Collect(req, &stats);
+          std::vector<Biplex> got = session.Collect(req, &stats);
           const bool unsupported =
               (!info.supports_asymmetric_k && !c.k.IsUniform()) ||
               (info.requires_theta &&
@@ -145,11 +147,11 @@ std::vector<EnumerateRequest> AllBackendRequests() {
 TEST(Budgets, MaxResultsStopsEveryBackend) {
   Rng rng(91);
   BipartiteGraph g = ErdosRenyiBipartite(10, 10, 40, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (EnumerateRequest req : AllBackendRequests()) {
     req.max_results = 1;
     EnumerateStats stats;
-    uint64_t n = enumerator.Count(req, &stats);
+    uint64_t n = session.Count(req, &stats);
     ASSERT_TRUE(stats.ok()) << req.algorithm << ": " << stats.error;
     EXPECT_EQ(n, 1u) << req.algorithm;
     EXPECT_EQ(stats.solutions, 1u) << req.algorithm;
@@ -160,10 +162,10 @@ TEST(Budgets, MaxResultsStopsEveryBackend) {
 TEST(Budgets, SinkStopStopsEveryBackend) {
   Rng rng(92);
   BipartiteGraph g = ErdosRenyiBipartite(10, 10, 40, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (const EnumerateRequest& req : AllBackendRequests()) {
     size_t n = 0;
-    EnumerateStats stats = enumerator.Run(req, [&](const Biplex&) {
+    EnumerateStats stats = session.Run(req, [&](const Biplex&) {
       return ++n < 2;  // stop after the second solution
     });
     ASSERT_TRUE(stats.ok()) << req.algorithm << ": " << stats.error;
@@ -178,13 +180,13 @@ TEST(Budgets, SinkStopStopsEveryBackend) {
 TEST(Cancellation, PreCancelledTokenStopsEveryBackendImmediately) {
   Rng rng(93);
   BipartiteGraph g = ErdosRenyiBipartite(10, 10, 40, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   CancellationToken token;
   token.Cancel();
   for (EnumerateRequest req : AllBackendRequests()) {
     req.cancellation = &token;
     EnumerateStats stats;
-    uint64_t n = enumerator.Count(req, &stats);
+    uint64_t n = session.Count(req, &stats);
     EXPECT_EQ(n, 0u) << req.algorithm;
     EXPECT_FALSE(stats.completed) << req.algorithm;
     EXPECT_TRUE(stats.cancelled) << req.algorithm;
@@ -196,11 +198,11 @@ TEST(Cancellation, MidRunCancelStopsEveryBackend) {
   // (the engines poll every 16..1024 work units) long before finishing.
   Rng rng(94);
   BipartiteGraph g = ErdosRenyiBipartite(14, 14, 80, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (EnumerateRequest req : AllBackendRequests()) {
     CancellationToken token;
     req.cancellation = &token;
-    EnumerateStats stats = enumerator.Run(req, [&](const Biplex&) {
+    EnumerateStats stats = session.Run(req, [&](const Biplex&) {
       token.Cancel();
       return true;  // the stop must come from the token, not the sink
     });
@@ -215,11 +217,11 @@ TEST(Budgets, TimeBudgetStopsEveryBackend) {
   // or the first delivery attempt stops the backend.
   Rng rng(95);
   BipartiteGraph g = ErdosRenyiBipartite(12, 12, 60, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (EnumerateRequest req : AllBackendRequests()) {
     req.time_budget_seconds = 1e-9;
     EnumerateStats stats;
-    enumerator.Count(req, &stats);
+    session.Count(req, &stats);
     ASSERT_TRUE(stats.ok()) << req.algorithm << ": " << stats.error;
     EXPECT_FALSE(stats.completed) << req.algorithm;
   }
@@ -260,32 +262,76 @@ TEST(Validation, BruteForceRejectsLargeGraphs) {
 
 TEST(Validation, UnknownBackendOptionRejected) {
   BipartiteGraph g = BipartiteGraph::FromEdges(2, 2, {{0, 0}});
-  EnumerateRequest req;
-  req.backend_options["warp_speed"] = "9";
-  CountingSink sink;
-  EnumerateStats stats = Enumerate(g, req, &sink);
-  EXPECT_FALSE(stats.ok());
-  EXPECT_NE(stats.error.find("warp_speed"), std::string::npos);
+  struct Input {
+    const char* algorithm;
+    const char* key;
+    const char* value;
+  };
+  // The engine's acceleration (2-hop generator, adjacency index) is not a
+  // per-request option, so its old keys are unknown too.
+  for (const Input& in : {Input{"itraversal", "warp_speed", "9"},
+                          Input{"itraversal", "candidate_gen", "scan"},
+                          Input{"itraversal", "adjacency_index", "off"},
+                          Input{"itraversal", "accel_budget", "4096"},
+                          Input{"large-mbp", "candidate_gen", "scan"},
+                          Input{"large-mbp", "adjacency_index", "off"},
+                          Input{"large-mbp", "accel_budget", "4096"}}) {
+    EnumerateRequest req;
+    req.algorithm = in.algorithm;
+    req.theta_left = req.theta_right = 1;
+    req.backend_options[in.key] = in.value;
+    CountingSink sink;
+    EnumerateStats stats = Enumerate(g, req, &sink);
+    EXPECT_FALSE(stats.ok()) << in.algorithm << " " << in.key;
+    EXPECT_NE(stats.error.find(std::string("unknown backend option '") +
+                               in.key + "'"),
+              std::string::npos)
+        << in.algorithm << ": " << stats.error;
+  }
 }
 
 TEST(Validation, BadBackendOptionValueRejected) {
   BipartiteGraph g = BipartiteGraph::FromEdges(2, 2, {{0, 0}});
-  EnumerateRequest req;
-  req.backend_options["anchored_side"] = "up";
-  CountingSink sink;
-  EnumerateStats stats = Enumerate(g, req, &sink);
-  EXPECT_FALSE(stats.ok());
-  EXPECT_NE(stats.error.find("anchored_side"), std::string::npos);
+  struct Input {
+    const char* algorithm;
+    const char* key;
+    const char* value;
+  };
+  // Integer options take a plain run of decimal digits: a sign, trailing
+  // characters or a value past size_t are rejected, not wrapped or
+  // truncated (a "-1" wrapped to 2^64 - 1 would turn the inflation memory
+  // guard off).
+  for (const Input& in :
+       {Input{"itraversal", "anchored_side", "up"},
+        Input{"inflation", "max_inflated_edges", "-1"},
+        Input{"inflation", "max_inflated_edges", "+5"},
+        Input{"inflation", "max_inflated_edges", "10abc"},
+        Input{"inflation", "max_inflated_edges", " 10"},
+        Input{"inflation", "max_inflated_edges", ""},
+        Input{"inflation", "max_inflated_edges",
+              "18446744073709551616"}}) {  // 2^64
+    EnumerateRequest req;
+    req.algorithm = in.algorithm;
+    req.backend_options[in.key] = in.value;
+    CountingSink sink;
+    EnumerateStats stats = Enumerate(g, req, &sink);
+    EXPECT_FALSE(stats.ok()) << in.key << "='" << in.value << "'";
+    EXPECT_NE(stats.error.find(std::string("backend option '") + in.key +
+                               "' = '" + in.value + "'"),
+              std::string::npos)
+        << stats.error;
+    EXPECT_EQ(sink.count(), 0u);
+  }
 }
 
 // ------------------------------------------------------ backend options ---
 
 TEST(BackendOptions, VariantsEnumerateTheSameSet) {
   BipartiteGraph g = MakeRandomGraph({6, 6, 0.5, 17});
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest base;
   base.algorithm = "itraversal";
-  std::vector<Biplex> expect = enumerator.Collect(base);
+  std::vector<Biplex> expect = session.Collect(base);
   EXPECT_EQ(expect, BruteForceMaximalBiplexes(g, 1));
   for (const auto& [key, value] :
        std::vector<std::pair<std::string, std::string>>{
@@ -297,7 +343,7 @@ TEST(BackendOptions, VariantsEnumerateTheSameSet) {
     EnumerateRequest req = base;
     req.backend_options[key] = value;
     EnumerateStats stats;
-    std::vector<Biplex> got = enumerator.Collect(req, &stats);
+    std::vector<Biplex> got = session.Collect(req, &stats);
     ASSERT_TRUE(stats.ok()) << key << ": " << stats.error;
     ASSERT_EQ(got, expect) << key << "=" << value;
   }
@@ -378,12 +424,12 @@ TEST(Stats, JsonStaysValidForNonFiniteSeconds) {
 TEST(Stats, BackendDetailPreserved) {
   Rng rng(21);
   BipartiteGraph g = ErdosRenyiBipartite(8, 8, 25, &rng);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
 
   EnumerateRequest req;
   req.algorithm = "imb";
   EnumerateStats stats;
-  enumerator.Count(req, &stats);
+  session.Count(req, &stats);
   ASSERT_TRUE(stats.imb.has_value());
   EXPECT_FALSE(stats.traversal.has_value());
   EXPECT_EQ(stats.work_units, stats.imb->nodes);
@@ -391,7 +437,7 @@ TEST(Stats, BackendDetailPreserved) {
   req.algorithm = "large-mbp";
   req.theta_left = 2;
   req.theta_right = 2;
-  enumerator.Count(req, &stats);
+  session.Count(req, &stats);
   ASSERT_TRUE(stats.large_mbp.has_value());
   EXPECT_LE(stats.large_mbp->core_left, g.NumLeft());
 }

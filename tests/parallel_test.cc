@@ -13,6 +13,8 @@
 
 #include "api/enumerator.h"
 #include "api/parallel_driver.h"
+#include "api/prepared_graph.h"
+#include "api/query_session.h"
 #include "api/solution_sink.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -197,7 +199,7 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
   };
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    Enumerator enumerator(graphs[gi]);
+    QuerySession session(PreparedGraph::Borrow(graphs[gi]));
     for (const ParallelCase& c : cases) {
       for (const std::string& name : registry.Names()) {
         AlgorithmInfo info = *registry.Find(name);
@@ -213,12 +215,12 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
 
         EnumerateStats seq_stats;
         req.threads = 1;
-        std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
+        std::vector<Biplex> expect = session.Collect(req, &seq_stats);
         ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
 
         EnumerateStats par_stats;
         req.threads = 4;
-        std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
+        std::vector<Biplex> got = session.Collect(req, &par_stats);
         ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
         EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
         EXPECT_TRUE(par_stats.completed) << name;
@@ -236,13 +238,13 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
 TEST(ParallelAgreement, AutoThreadCountMatchesToo) {
   BipartiteGraph g = DisjointUnion(MakeRandomGraph({4, 4, 0.6, 21}),
                                    MakeRandomGraph({4, 4, 0.6, 22}));
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest req;
   req.algorithm = "brute-force";
   req.threads = 1;
-  std::vector<Biplex> expect = enumerator.Collect(req);
+  std::vector<Biplex> expect = session.Collect(req);
   req.threads = 0;  // one worker per hardware thread
-  EXPECT_EQ(enumerator.Collect(req), expect);
+  EXPECT_EQ(session.Collect(req), expect);
 }
 
 // ------------------------------------------------ budgets, cancellation ---
@@ -263,7 +265,7 @@ TEST(ParallelBudgets, MaxResultsIsGlobalAcrossWorkers) {
   // reached exactly and stops every worker.
   BipartiteGraph g =
       DisjointUnion(CompleteBipartite(5, 5), CompleteBipartite(5, 5));
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (const char* name : {"brute-force", "imb", "itraversal"}) {
     EnumerateRequest req;
     req.algorithm = name;
@@ -272,7 +274,7 @@ TEST(ParallelBudgets, MaxResultsIsGlobalAcrossWorkers) {
     req.theta_right = req.theta_left;
     req.max_results = 2;
     EnumerateStats stats;
-    uint64_t n = enumerator.Count(req, &stats);
+    uint64_t n = session.Count(req, &stats);
     ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
     EXPECT_EQ(n, 2u) << name;
     EXPECT_EQ(stats.solutions, 2u) << name;
@@ -283,7 +285,7 @@ TEST(ParallelBudgets, MaxResultsIsGlobalAcrossWorkers) {
 TEST(ParallelBudgets, PreCancelledTokenStopsParallelRuns) {
   BipartiteGraph g = DisjointUnion(MakeRandomGraph({5, 5, 0.6, 33}),
                                    MakeRandomGraph({5, 5, 0.6, 34}));
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   CancellationToken token;
   token.Cancel();
   EnumerateRequest req;
@@ -291,7 +293,7 @@ TEST(ParallelBudgets, PreCancelledTokenStopsParallelRuns) {
   req.threads = 4;
   req.cancellation = &token;
   EnumerateStats stats;
-  EXPECT_EQ(enumerator.Count(req, &stats), 0u);
+  EXPECT_EQ(session.Count(req, &stats), 0u);
   EXPECT_FALSE(stats.completed);
   EXPECT_TRUE(stats.cancelled);
 }
@@ -299,12 +301,12 @@ TEST(ParallelBudgets, PreCancelledTokenStopsParallelRuns) {
 TEST(ParallelBudgets, SinkStopCountsOnlyAcceptedSolutions) {
   BipartiteGraph g = DisjointUnion(MakeRandomGraph({5, 5, 0.6, 35}),
                                    MakeRandomGraph({5, 5, 0.6, 36}));
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest req;
   req.algorithm = "imb";
   req.threads = 4;
   std::atomic<int> calls{0};
-  EnumerateStats stats = enumerator.Run(
+  EnumerateStats stats = session.Run(
       req, [&](const Biplex&) { return calls.fetch_add(1) + 1 < 3; });
   ASSERT_TRUE(stats.ok()) << stats.error;
   // The sink accepted exactly two solutions before refusing the third.
@@ -331,7 +333,7 @@ BipartiteGraph DenseComponent() { return MakeRandomGraph({7, 7, 0.7, 91}); }
 
 TEST(ParallelFacade, TraversalFamilyAgreesOnSingleDenseComponent) {
   const BipartiteGraph g = DenseComponent();
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (const char* name : {"itraversal", "itraversal-es", "itraversal-es-rs",
                            "btraversal", "large-mbp"}) {
     const bool large = name == std::string("large-mbp");
@@ -341,12 +343,12 @@ TEST(ParallelFacade, TraversalFamilyAgreesOnSingleDenseComponent) {
     req.theta_right = large ? 3 : 0;
     req.threads = 1;
     EnumerateStats seq_stats;
-    const std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
+    const std::vector<Biplex> expect = session.Collect(req, &seq_stats);
     ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
     for (int threads : {2, 4, 8}) {
       req.threads = threads;
       EnumerateStats stats;
-      const std::vector<Biplex> got = enumerator.Collect(req, &stats);
+      const std::vector<Biplex> got = session.Collect(req, &stats);
       ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
       EXPECT_TRUE(stats.completed) << name << " threads=" << threads;
       ASSERT_EQ(got, expect) << name << " threads=" << threads;
@@ -360,7 +362,7 @@ TEST(ParallelFacade, OneComponentDoesNoExtraWorkAtMoreThreads) {
   // the exclusion-pruned sequential engine at every thread count.
   const BipartiteGraph g = MakeRandomGraph({11, 11, 0.6, 95});
   ASSERT_EQ(ConnectedComponents(g).size(), 1u);
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   for (const char* name : {"itraversal", "large-mbp"}) {
     EnumerateRequest req;
     req.algorithm = name;
@@ -368,13 +370,13 @@ TEST(ParallelFacade, OneComponentDoesNoExtraWorkAtMoreThreads) {
     req.theta_right = 3;
     req.threads = 1;
     EnumerateStats seq;
-    const uint64_t expect = enumerator.Count(req, &seq);
+    const uint64_t expect = session.Count(req, &seq);
     ASSERT_TRUE(seq.ok()) << name << ": " << seq.error;
     ASSERT_GT(seq.work_units, 0u) << name;
     for (int threads : {2, 4}) {
       req.threads = threads;
       EnumerateStats par;
-      EXPECT_EQ(enumerator.Count(req, &par), expect) << name;
+      EXPECT_EQ(session.Count(req, &par), expect) << name;
       ASSERT_TRUE(par.ok()) << name << ": " << par.error;
       EXPECT_EQ(par.work_units, seq.work_units)
           << name << " threads=" << threads;
@@ -420,7 +422,7 @@ TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
       DisjointUnion(MakeRandomGraph({6, 6, 0.7, 96}),
                     MakeRandomGraph({6, 6, 0.7, 97})),
       MakeRandomGraph({6, 6, 0.7, 98}));
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest req;
   req.algorithm = "itraversal";
   req.theta_left = 3;
@@ -428,7 +430,7 @@ TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
   req.threads = 1;
   CollectingSink seq_inner(/*sorted=*/false);
   SortingSink seq_sorter(&seq_inner);
-  ASSERT_TRUE(enumerator.Run(req, &seq_sorter).ok());
+  ASSERT_TRUE(session.Run(req, &seq_sorter).ok());
   seq_sorter.Flush();
   const std::vector<Biplex> expect = seq_inner.Take();
   ASSERT_GT(expect.size(), 3u);
@@ -436,7 +438,7 @@ TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
   req.threads = 4;
   CollectingSink par_inner(/*sorted=*/false);
   SortingSink par_sorter(&par_inner);
-  ASSERT_TRUE(enumerator.Run(req, &par_sorter).ok());
+  ASSERT_TRUE(session.Run(req, &par_sorter).ok());
   par_sorter.Flush();
   // Identical *sequence*, not just set: this is the property the CLI
   // --sort flag and the wire "sort" key build their byte-stability on.
@@ -453,18 +455,18 @@ TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
 // imb detail block.
 TEST(ParallelImb, EmptyGraphIsATrivialNoOp) {
   BipartiteGraph g = MakeGraph(0, 0, {});
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest req;
   req.algorithm = "imb";
   req.threads = 1;
   EnumerateStats seq;
-  const std::vector<Biplex> expect = enumerator.Collect(req, &seq);
+  const std::vector<Biplex> expect = session.Collect(req, &seq);
   ASSERT_TRUE(seq.ok()) << seq.error;
   ASSERT_EQ(expect, std::vector<Biplex>{Biplex{}});  // the empty biplex
 
   req.threads = 4;
   EnumerateStats par;
-  const std::vector<Biplex> got = enumerator.Collect(req, &par);
+  const std::vector<Biplex> got = session.Collect(req, &par);
   ASSERT_TRUE(par.ok()) << par.error;
   EXPECT_EQ(got, expect);
   EXPECT_TRUE(par.completed);
@@ -492,21 +494,21 @@ std::set<std::string> JsonKeys(const std::string& text) {
 // a schema divergence that breaks key-based consumers.
 TEST(ParallelImb, BudgetExpiredRunKeepsStatsSchema) {
   BipartiteGraph g = MakeRandomGraph({6, 6, 0.5, 77});
-  Enumerator enumerator(g);
+  QuerySession session(PreparedGraph::Borrow(g));
   EnumerateRequest req;
   req.algorithm = "imb";
   req.time_budget_seconds = 1e-12;  // expired before any shard starts
 
   req.threads = 1;
   EnumerateStats seq;
-  enumerator.Collect(req, &seq);
+  session.Collect(req, &seq);
   ASSERT_TRUE(seq.ok()) << seq.error;
   // (The sequential run may still complete — a graph this small can
   // finish before the first deadline poll; the schema is what matters.)
 
   req.threads = 4;
   EnumerateStats par;
-  enumerator.Collect(req, &par);
+  session.Collect(req, &par);
   ASSERT_TRUE(par.ok()) << par.error;
   EXPECT_FALSE(par.completed);
   ASSERT_TRUE(par.imb.has_value());

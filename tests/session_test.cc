@@ -22,6 +22,7 @@
 namespace kbiplex {
 namespace {
 
+using testing_support::CollectRequest;
 using testing_support::MakeGraph;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
@@ -215,7 +216,7 @@ TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
 TEST(QuerySessionTest, RenumberedSessionMatchesSeedForAllAlgorithms) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     BipartiteGraph g = MakeRandomGraph({7, 6, 0.5, seed});
-    Enumerator seed_path(g);
+    QuerySession seed_path(PreparedGraph::Borrow(g));
     auto prepared = PreparedGraph::Prepare(
         BipartiteGraph(g),
         {.adjacency_index = AdjacencyAccelMode::kForce, .renumber = true});
@@ -249,11 +250,10 @@ TEST(QuerySessionTest, InterleavedQueriesReuseScratchCorrectly) {
   BipartiteGraph g = MakeRandomGraph({8, 7, 0.45, 9});
   auto prepared = PreparedGraph::Prepare(BipartiteGraph(g), {});
   QuerySession session(prepared);
-  Enumerator fresh(g);
 
   // Interleave algorithms and shapes so the pooled frames and workspace
   // are handed between engines with different graph-facing state; every
-  // run must match a fresh enumerator bit for bit.
+  // run must match a fresh session's bit for bit.
   const std::vector<std::string> sequence = {
       "itraversal", "btraversal",  "large-mbp", "itraversal",
       "imb",        "brute-force", "large-mbp", "itraversal-es"};
@@ -263,7 +263,7 @@ TEST(QuerySessionTest, InterleavedQueriesReuseScratchCorrectly) {
       EnumerateStats stats;
       std::vector<Biplex> got = session.Collect(req, &stats);
       ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
-      EXPECT_EQ(got, fresh.Collect(req)) << name << " round " << round;
+      EXPECT_EQ(got, CollectRequest(g, req)) << name << " round " << round;
     }
   }
   EXPECT_EQ(session.queries_run(), 2 * sequence.size());

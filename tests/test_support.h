@@ -7,6 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "api/enumerate_request.h"
+#include "api/enumerate_stats.h"
+#include "api/prepared_graph.h"
+#include "api/query_session.h"
 #include "core/biplex.h"
 #include "core/itraversal.h"
 #include "core/large_mbp.h"
@@ -81,6 +85,14 @@ inline std::vector<Biplex> CollectLargeWith(const BipartiteGraph& g,
   if (stats != nullptr) *stats = s;
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Runs `request` once over `g` through a fresh QuerySession on the
+/// borrowed graph (what Enumerate does) and returns the solutions, sorted.
+inline std::vector<Biplex> CollectRequest(const BipartiteGraph& g,
+                                          const EnumerateRequest& request,
+                                          EnumerateStats* stats = nullptr) {
+  return QuerySession(PreparedGraph::Borrow(g)).Collect(request, stats);
 }
 
 }  // namespace testing_support

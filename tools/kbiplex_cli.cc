@@ -39,9 +39,9 @@
 #include <string>
 #include <vector>
 
-#include "api/enumerator.h"
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
+#include "api/registry.h"
 #include "api/request_parse.h"
 #include "graph/core_decomposition.h"
 #include "graph/graph_io.h"
