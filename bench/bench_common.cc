@@ -5,10 +5,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "graph/generators.h"
 #include "util/json.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/table.h"
 
 namespace kbiplex {
@@ -31,6 +33,22 @@ DatasetSpec Spec(const char* name, const char* category, size_t pl,
   s.kind = kind;
   s.seed = seed;
   return s;
+}
+
+/// The "model name" of the first processor in /proc/cpuinfo, or
+/// "unknown" where the file or the field is missing.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t begin = line.find_first_not_of(" \t", colon + 1);
+    if (begin != std::string::npos) return line.substr(begin);
+    break;
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -203,7 +221,18 @@ bool BenchJsonWriter::Write() {
   std::ostringstream os;
   os << "{\"bench\":";
   AppendEscaped(os, bench_name_);
-  os << ",\"schema_version\":1,\"records\":[";
+  // The host block names the machine and build behind the wall times;
+  // readers of older files without it keep working (it is additive).
+  os << ",\"schema_version\":1,\"host\":{\"cores\":"
+     << std::thread::hardware_concurrency() << ",\"cpu_model\":";
+  AppendEscaped(os, CpuModel());
+  os << ",\"simd\":";
+  AppendEscaped(os, simd::Active().name);
+  os << ",\"build_type\":";
+  AppendEscaped(os, KBIPLEX_BUILD_TYPE);
+  os << ",\"git_sha\":";
+  AppendEscaped(os, KBIPLEX_GIT_SHA);
+  os << "},\"records\":[";
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& r = records_[i];
     if (i != 0) os << ",";

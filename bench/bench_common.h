@@ -101,7 +101,10 @@ std::string BudgetCell(const EnumerateStats& stats, uint64_t max_results);
 /// KBIPLEX_BENCH_JSON_DIR environment variable (default: the working
 /// directory). Schema:
 ///
-///   {"bench": "<name>", "schema_version": 1, "records": [
+///   {"bench": "<name>", "schema_version": 1,
+///    "host": {"cores": 4, "cpu_model": "...", "simd": "avx2",
+///             "build_type": "Release", "git_sha": "<sha or unknown>"},
+///    "records": [
 ///     {"name": "...", "dataset": "...", "algorithm": "...",
 ///      "k_left": 1, "k_right": 1, "threads": 1,
 ///      "wall_seconds": 0.12, "solutions": 10, "work_units": 42,

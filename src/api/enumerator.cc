@@ -151,8 +151,6 @@ class TraversalBackend final : public AlgorithmBackend {
     opts.k = req.k;
     opts.theta_left = req.theta_left;
     opts.theta_right = req.theta_right;
-    opts.prune_small = opts.right_shrinking &&
-                       (req.theta_left > 0 || req.theta_right > 0);
     opts.max_results = req.max_results;
     opts.time_budget_seconds = req.time_budget_seconds;
     opts.max_links = req.max_links;

@@ -36,12 +36,13 @@
 //   large-mbp:        "core_reduction"           true | false
 //   inflation:        "max_inflated_edges"       <N>  (0 = no guard)
 //
-// The traversal engines always use the 2-hop candidate generator where it
-// is provably equivalent to the full scan, and the graph's attached
-// adjacency index or, on graphs with at least kAutoIndexMinEdges edges,
-// an engine-local one (see core/itraversal.cc); neither is a per-request
-// option. Attaching the index is a prepare-time choice
-// (PrepareOptions::adjacency_index).
+// The traversal engines have one Step-1 candidate generator: incremental
+// per-frame candidate lists, narrowed to the 2-hop neighborhood exactly
+// when the Section 5 prune allows it (theta_other > k). They use the
+// graph's attached adjacency index or, on graphs with at least
+// kAutoIndexMinEdges edges, an engine-local one (see core/itraversal.cc);
+// neither is a per-request option. Attaching the index is a prepare-time
+// choice (PrepareOptions::adjacency_index).
 #ifndef KBIPLEX_API_ENUMERATOR_H_
 #define KBIPLEX_API_ENUMERATOR_H_
 

@@ -21,9 +21,18 @@ size_t SideIndex(Side s) { return s == Side::kLeft ? 0 : 1; }
 class TraversalEngine::Impl {
  public:
   Impl(const BipartiteGraph& g, const TraversalOptions& opts)
-      : g_(g), opts_(opts), extender_(g, opts.k) {
+      : g_(g),
+        opts_(opts),
+        extender_(g, opts.k),
+        prune_(opts.left_anchored && opts.right_shrinking &&
+               (opts.theta_left > 0 || opts.theta_right > 0)) {
     assert(opts.k.left >= 1 && opts.k.right >= 1);
-    gen_mode_ = ComputeGenMode();
+    if (prune_) {
+      const size_t theta_other = ThetaOpposite(opts_.anchored_side);
+      const size_t k_side =
+          static_cast<size_t>(opts_.k.ForSide(opts_.anchored_side));
+      if (theta_other > k_side) min_conn_ = theta_other - k_side;
+    }
     InitAccel();
     if (opts_.scratch != nullptr) {
       // Adopt (or install) the session's pooled frame arena and shared
@@ -73,52 +82,6 @@ class TraversalEngine::Impl {
     return b;
   }
 
-  /// Step-1 candidate generation strategy; see ComputeGenMode.
-  enum class GenMode : uint8_t {
-    kScan,        // re-scan the candidate side(s) every frame
-    kAnchored,    // incremental 2-hop lists with the theta - k prefilter
-    kMembership,  // incremental lists, membership filtering only
-  };
-
-  /// True iff the theta-prefiltered 2-hop candidate generator is provably
-  /// equivalent to the full-side scan for this configuration: the
-  /// Section 5 almost-satisfying-graph prune must already discard every
-  /// candidate with fewer than theta_other - k connections into the
-  /// non-anchored member set (so skipping conn = 0 vertices — everything
-  /// farther than two hops from H — changes nothing), and right-shrinking
-  /// must hold so the pruned subtrees cannot contain surviving solutions.
-  bool TwoHopApplies() const {
-    if (!opts_.left_anchored || !opts_.right_shrinking ||
-        !opts_.prune_small) {
-      return false;
-    }
-    const size_t theta_other = ThetaOpposite(opts_.anchored_side);
-    const size_t k_side =
-        static_cast<size_t>(opts_.k.ForSide(opts_.anchored_side));
-    return theta_other > k_side;
-  }
-
-  /// Configurations outside the TwoHopApplies gate (bTraversal's two
-  /// scanning side phases above all) still run the incremental generator,
-  /// but with a pure membership filter (min_conn = 0): a frame's
-  /// candidate list is its parent's list minus the members the link
-  /// added, plus the members it removed — trivially the same vertex set
-  /// the scan would visit, in the same order. The per-side connection
-  /// counters are still maintained so ProcessCandidate reads |Γ(v) ∩ B|
-  /// in O(1) instead of intersecting adjacency lists. Extending the
-  /// theta prefilter to these configurations would need the paper's
-  /// completeness argument for zero-connection candidates, which only
-  /// covers the anchored gate.
-  GenMode ComputeGenMode() const {
-    if (TwoHopApplies()) return GenMode::kAnchored;
-    // The exclusion strategy filters candidates against exclusion sets
-    // that grow while a frame is active; the anchored generator handles
-    // that at consumption time, but the membership fold keeps clear of
-    // the interaction and leaves excluding configurations on the scan.
-    if (opts_.exclusion) return GenMode::kScan;
-    return GenMode::kMembership;
-  }
-
   TraversalStats Run(const SolutionCallback& cb) {
     stats_ = TraversalStats();
     cb_ = &cb;
@@ -129,7 +92,7 @@ class TraversalEngine::Impl {
     deadline_ = &deadline;
 
     Biplex h0 = InitialSolution();
-    if (gen_mode_ != GenMode::kScan) InitConnCounts(h0);
+    if (min_conn_ > 0) InitConnCounts(h0);
     store_->Insert(h0);
     ++stats_.solutions_found;
     std::vector<std::unique_ptr<Frame>> stack;
@@ -182,7 +145,6 @@ class TraversalEngine::Impl {
   struct Frame {
     Biplex h;
     DynamicBitset excl[2];  // exclusion sets, [0]=left ids, [1]=right ids
-    VertexId next_cand[2] = {0, 0};
     int side_phase = 0;  // index into the candidate-side sequence
     std::vector<Biplex> batch;
     size_t batch_pos = 0;
@@ -198,10 +160,9 @@ class TraversalEngine::Impl {
     // excluded vertex, so the whole frame is sterile.
     bool excl_scanned = false;
     size_t excl_members_anchored = 0;
-    // Incremental candidate generator state, per candidate side: the
-    // materialized (sorted) candidate lists, the member diffs against the
-    // parent frame used to keep the engine's connection counters
-    // incremental, and the parent link the lists are derived from.
+    // Candidate generator state, per candidate side: the materialized
+    // (sorted) candidate lists, and the member diffs against the parent
+    // frame the lists (and the connection counters) are derived from.
     // `parent` outlives this frame (it sits below it on the DFS stack).
     const Frame* parent = nullptr;
     bool cands_ready[2] = {false, false};
@@ -215,7 +176,6 @@ class TraversalEngine::Impl {
     void Reset() {
       h.left.clear();
       h.right.clear();
-      next_cand[0] = next_cand[1] = 0;
       side_phase = 0;
       batch.clear();
       batch_pos = 0;
@@ -265,7 +225,7 @@ class TraversalEngine::Impl {
         f.excl[1].Reset();
       }
     }
-    if (gen_mode_ != GenMode::kScan && parent != nullptr) {
+    if (parent != nullptr) {
       for (Side s : {Side::kLeft, Side::kRight}) {
         const size_t i = SideIndex(s);
         f.removed[i].clear();
@@ -279,21 +239,15 @@ class TraversalEngine::Impl {
                             parent->h.SideSet(s).end(),
                             std::back_inserter(f.added[i]));
       }
-      // Right-shrinking guarantees B ⊆ parent B under the anchored
-      // generator, so that diff is a pure removal set.
-      assert(gen_mode_ != GenMode::kAnchored ||
-             f.added[SideIndex(Opposite(opts_.anchored_side))].empty());
-      ApplyFrameDiff(f, /*entering=*/true);
+      if (min_conn_ > 0) ApplyFrameDiff(f, /*entering=*/true);
     }
-    if (opts_.prune_small) {
+    if (prune_) {
       // Solution pruning: under right-shrinking traversal every solution
       // reachable from f.h has its non-anchored side contained in f.h's,
       // so a too-small side can never recover (Section 5).
-      const Side other = Opposite(opts_.anchored_side);
-      const size_t theta_other =
-          other == Side::kRight ? opts_.theta_right : opts_.theta_left;
-      if (opts_.right_shrinking && theta_other > 0 &&
-          f.h.SideSet(other).size() < theta_other) {
+      const size_t theta_other = ThetaOpposite(opts_.anchored_side);
+      if (theta_other > 0 &&
+          f.h.SideSet(Opposite(opts_.anchored_side)).size() < theta_other) {
         f.recurse = false;
       }
       // Left-side pruning via the exclusion set (Section 5).
@@ -314,85 +268,65 @@ class TraversalEngine::Impl {
   void PopFrame(std::vector<std::unique_ptr<Frame>>* stack) {
     std::unique_ptr<Frame> f = std::move(stack->back());
     stack->pop_back();
-    if (gen_mode_ != GenMode::kScan && f->parent != nullptr) {
+    if (min_conn_ > 0 && f->parent != nullptr) {
       ApplyFrameDiff(*f, /*entering=*/false);
     }
     frame_pool_->Release(std::move(f));
   }
 
-  /// Initializes conn_[s][w] = |Γ(w) ∩ H(opposite(s))| for every vertex w
-  /// of every candidate side s: one counter array under left-anchored
-  /// traversal, a second one for bTraversal's other candidate phase.
+  /// Initializes conn_[w] = |Γ(w) ∩ B| for every vertex w of the anchored
+  /// side, B being h's other side.
   void InitConnCounts(const Biplex& h) {
-    conn_[0].clear();
-    conn_[1].clear();
-    for (int p = 0; p < NumSidePhases(); ++p) {
-      const Side side = CandidateSide(p);
-      std::vector<uint32_t>& conn = conn_[SideIndex(side)];
-      conn.assign(g_.NumOnSide(side), 0);
-      for (VertexId u : h.SideSet(Opposite(side))) {
-        for (VertexId w : g_.Neighbors(Opposite(side), u)) ++conn[w];
-      }
+    const Side a = opts_.anchored_side;
+    conn_.assign(g_.NumOnSide(a), 0);
+    for (VertexId u : h.SideSet(Opposite(a))) {
+      for (VertexId w : g_.Neighbors(Opposite(a), u)) ++conn_[w];
     }
   }
 
-  /// Applies (entering = true) or undoes (false) the frame's member diffs
-  /// to the connection counters: a member change on side o adjusts the
-  /// counters of the vertices on the opposite side adjacent to it.
+  /// Applies (entering = true) or undoes (false) the frame's diff of B to
+  /// the connection counters. Right-shrinking guarantees B ⊆ parent B, so
+  /// that diff is a pure removal set.
   void ApplyFrameDiff(const Frame& f, bool entering) {
-    for (Side o : {Side::kLeft, Side::kRight}) {
-      std::vector<uint32_t>& conn = conn_[SideIndex(Opposite(o))];
-      if (conn.empty()) continue;
-      for (VertexId u : f.added[SideIndex(o)]) {
-        for (VertexId w : g_.Neighbors(o, u)) {
-          entering ? ++conn[w] : --conn[w];
-        }
-      }
-      for (VertexId u : f.removed[SideIndex(o)]) {
-        for (VertexId w : g_.Neighbors(o, u)) {
-          entering ? --conn[w] : ++conn[w];
-        }
+    const Side o = Opposite(opts_.anchored_side);
+    assert(f.added[SideIndex(o)].empty());
+    for (VertexId u : f.removed[SideIndex(o)]) {
+      for (VertexId w : g_.Neighbors(o, u)) {
+        entering ? --conn_[w] : ++conn_[w];
       }
     }
   }
 
-  /// Minimum |Γ(v) ∩ B| a candidate needs to survive the Section 5
-  /// almost-satisfying-graph prune; >= 1 under the anchored generator, 0
-  /// (pure membership filtering) under the fold.
-  size_t MinConn(Side side) const {
-    if (gen_mode_ != GenMode::kAnchored) return 0;
-    return ThetaOpposite(side) -
-           static_cast<size_t>(opts_.k.ForSide(side));
+  /// True iff non-member `v` of the candidate side clears the connection
+  /// floor; the counters exist only while the floor is positive.
+  bool ClearsFloor(VertexId v) const {
+    return min_conn_ == 0 || conn_[v] >= min_conn_;
   }
 
-  /// Materializes the frame's candidate list for `side`: non-member
-  /// vertices with enough connections into the frame's opposite member
-  /// set (min_conn = 0 under the membership fold, where only membership
-  /// filters). The root derives it from the graph directly; descendants
-  /// refine the parent's list — drop the members the link added, append
-  /// the members it removed — and re-check the connection floor where one
-  /// applies.
+  /// Materializes the frame's candidate list for `side`: the non-member
+  /// vertices that clear the connection floor. The root derives it from
+  /// the graph directly; descendants refine the parent's list — drop the
+  /// members the link added, append the members it removed — and re-check
+  /// the floor.
   void GenerateCandidates(Frame* f, Side side) {
     const size_t i = SideIndex(side);
     f->cands_ready[i] = true;
-    const size_t min_conn = MinConn(side);
-    const std::vector<uint32_t>& conn = conn_[i];
     std::vector<VertexId>& cands = f->cands[i];
     cands.clear();
-    if (f->parent == nullptr || !f->parent->cands_ready[i]) {
+    if (f->parent == nullptr) {
       const std::vector<VertexId>& members = f->h.SideSet(side);
       const VertexId n = static_cast<VertexId>(g_.NumOnSide(side));
       for (VertexId v = 0; v < n; ++v) {
-        if ((min_conn == 0 || conn[v] >= min_conn) &&
-            !sorted::Contains(members, v)) {
+        if (ClearsFloor(v) && !sorted::Contains(members, v)) {
           cands.push_back(v);
         }
       }
     } else {
+      // Every frame materializes its lists before producing a child.
+      assert(f->parent->cands_ready[i]);
       // A parent candidate is a member here iff the link added it.
       for (VertexId v : f->parent->cands[i]) {
-        if ((min_conn == 0 || conn[v] >= min_conn) &&
-            !sorted::Contains(f->added[i], v)) {
+        if (ClearsFloor(v) && !sorted::Contains(f->added[i], v)) {
           cands.push_back(v);
         }
       }
@@ -400,7 +334,7 @@ class TraversalEngine::Impl {
       // an in-place merge keeps the result sorted.
       const size_t mid = cands.size();
       for (VertexId v : f->removed[i]) {
-        if (min_conn == 0 || conn[v] >= min_conn) cands.push_back(v);
+        if (ClearsFloor(v)) cands.push_back(v);
       }
       std::inplace_merge(cands.begin(),
                          cands.begin() + static_cast<ptrdiff_t>(mid),
@@ -419,7 +353,10 @@ class TraversalEngine::Impl {
 
   /// Advances the frame to its next candidate vertex and builds the batch
   /// of new solutions reached from it. Returns false when the frame has no
-  /// candidates left.
+  /// candidates left. Every phase list is generated up front, before the
+  /// frame produces any child, so descendants can always refine them.
+  /// Exclusion filters run at consumption time, because the exclusion
+  /// sets grow while the frame is active.
   bool NextBatch(Frame* f) {
     if (opts_.exclusion && opts_.left_anchored && !f->excl_scanned) {
       // Sterility check: local solutions remove at most k(anchored)
@@ -436,55 +373,6 @@ class TraversalEngine::Impl {
             static_cast<size_t>(opts_.k.ForSide(opts_.anchored_side))) {
       return false;
     }
-    if (gen_mode_ != GenMode::kScan) return NextBatchIncremental(f);
-    while (f->side_phase < NumSidePhases()) {
-      const Side side = CandidateSide(f->side_phase);
-      const size_t n = g_.NumOnSide(side);
-      const std::vector<VertexId>& members = f->h.SideSet(side);
-      const std::vector<VertexId>& other_members =
-          f->h.SideSet(Opposite(side));
-      const DynamicBitset& excl_other = f->excl[SideIndex(Opposite(side))];
-      VertexId v = f->next_cand[SideIndex(side)];
-      for (; v < n; ++v) {
-        if (sorted::Contains(members, v)) continue;
-        ++stats_.candidates_generated;
-        if (opts_.exclusion) {
-          if (f->excl[SideIndex(side)].Test(v)) {
-            ++stats_.candidates_pruned;
-            continue;
-          }
-          // Every local solution of G[H ∪ v] keeps all of v's neighbors
-          // inside H (Lemma 4.1), so an excluded neighbor inside H prunes
-          // every link of this candidate.
-          if (excl_other.size() != 0 &&
-              HasExcludedNeighbor(side, v, other_members, excl_other)) {
-            ++stats_.candidates_pruned;
-            continue;
-          }
-        }
-        break;
-      }
-      if (v >= n) {
-        ++f->side_phase;
-        continue;
-      }
-      f->next_cand[SideIndex(side)] = v + 1;
-      ProcessCandidate(f, side, v, /*prefiltered=*/false);
-      f->batch_active = true;
-      f->batch_side = side;
-      f->batch_v = v;
-      return true;
-    }
-    return false;
-  }
-
-  /// NextBatch through the materialized incremental candidate lists (one
-  /// phase under left-anchored traversal, both sides for bTraversal).
-  /// Every phase list is generated up front, before the frame produces
-  /// any child, so descendants can always refine them. Exclusion filters
-  /// run at consumption time, exactly when the scan would reach the
-  /// vertex, because the exclusion sets grow while the frame is active.
-  bool NextBatchIncremental(Frame* f) {
     for (int p = 0; p < NumSidePhases(); ++p) {
       const Side s = CandidateSide(p);
       if (!f->cands_ready[SideIndex(s)]) GenerateCandidates(f, s);
@@ -502,14 +390,16 @@ class TraversalEngine::Impl {
             ++stats_.candidates_pruned;
             continue;
           }
+          // Every local solution of G[H ∪ v] keeps all of v's neighbors
+          // inside H (Lemma 4.1), so an excluded neighbor inside H prunes
+          // every link of this candidate.
           if (excl_other.size() != 0 &&
               HasExcludedNeighbor(side, v, other_members, excl_other)) {
             ++stats_.candidates_pruned;
             continue;
           }
         }
-        ProcessCandidate(f, side, v,
-                         /*prefiltered=*/gen_mode_ == GenMode::kAnchored);
+        ProcessCandidate(f, side, v);
         f->batch_active = true;
         f->batch_side = side;
         f->batch_v = v;
@@ -539,29 +429,9 @@ class TraversalEngine::Impl {
   }
 
   /// Steps 1-3 for a single almost-satisfying graph G[f->h ∪ v].
-  /// `prefiltered` marks candidates from the 2-hop generator, whose
-  /// connection lower bound is already established.
-  void ProcessCandidate(Frame* f, Side side, VertexId v, bool prefiltered) {
+  void ProcessCandidate(Frame* f, Side side, VertexId v) {
     ++stats_.almost_sat_graphs;
     const size_t theta_other = ThetaOpposite(side);
-    if (!prefiltered && opts_.prune_small && opts_.right_shrinking &&
-        theta_other > 0) {
-      // Almost-satisfying-graph pruning: any solution via v keeps at most
-      // δ(v, other) + k vertices of the other side (Section 5). The
-      // incremental generator's counters hold exactly |Γ(v) ∩ B|, so when
-      // they cover this side the adjacency intersection is free.
-      const std::vector<uint32_t>& cc = conn_[SideIndex(side)];
-      const size_t conn =
-          !cc.empty() ? cc[v]
-                      : AcceleratedConnCount(accel_, g_, side, v,
-                                             f->h.SideSet(Opposite(side)));
-      // v itself tolerates at most k(side) disconnections, bounding the
-      // other side of any solution through this almost-satisfying graph.
-      if (conn + static_cast<size_t>(opts_.k.ForSide(side)) < theta_other) {
-        ++stats_.candidates_pruned;
-        return;
-      }
-    }
 
     // Step-3 growth sides: bTraversal extends with any vertex; left-
     // anchored traversal with right-shrinking extends the anchored side
@@ -622,7 +492,7 @@ class TraversalEngine::Impl {
       if (opts_.exclusion) {
         lopts.excluded_anchored = &f->excl[SideIndex(side)];
       }
-      if (opts_.prune_small && opts_.right_shrinking && theta_other > 0) {
+      if (prune_ && theta_other > 0) {
         lopts.min_b_size = theta_other;  // local-solution pruning
       }
       bool completed = EnumAlmostSat(g_, f->h, side, v, opts_.k, lopts,
@@ -669,6 +539,20 @@ class TraversalEngine::Impl {
   const BipartiteGraph& g_;
   const TraversalOptions opts_;
   MaximalExtender extender_;
+  // The Section 5 pruning rules (almost-satisfying-graph, local-solution,
+  // solution and left-side pruning). They need the thetas and are sound
+  // only under left-anchored, right-shrinking traversal.
+  const bool prune_;
+  // Step-1 connection floor: candidates v with |Γ(v) ∩ B| < min_conn_ are
+  // never generated. With the prune on, a solution through v keeps
+  // |B'| <= |Γ(v) ∩ B| + k (v misses at most k vertices of B' ⊆ B), so
+  // theta_other - k is the tightest sound floor and it drops exactly the
+  // almost-satisfying graphs Section 5 prunes; every survivor is within
+  // two hops of H. For theta_other <= k (or the prune off) the floor is 0:
+  // a candidate with no connection into B can still reach a solution that
+  // keeps k vertices of B, enough for theta_other, so no candidate may be
+  // dropped and the 2-hop restriction cannot be widened.
+  size_t min_conn_ = 0;
   TraversalStats stats_;
   const SolutionCallback* cb_ = nullptr;
   std::unique_ptr<SolutionStore> store_;
@@ -677,7 +561,8 @@ class TraversalEngine::Impl {
 
   // Acceleration state: the hybrid adjacency index (attached, engine-
   // owned, or null), the frame arena, the shared EnumAlmostSat workspace,
-  // and the incremental |Γ(w) ∩ B| counters of the 2-hop generator.
+  // and the candidate generator's anchored-side |Γ(w) ∩ B| counters (kept
+  // only while min_conn_ > 0, the list filter being their one reader).
   const AdjacencyIndex* accel_ = nullptr;
   std::unique_ptr<AdjacencyIndex> owned_accel_;
   // The frame arena and EnumAlmostSat workspace point at the session's
@@ -687,8 +572,7 @@ class TraversalEngine::Impl {
   EnumAlmostSatWorkspace own_ws_;
   ArenaPool<Frame>* frame_pool_ = &own_frame_pool_;
   EnumAlmostSatWorkspace* local_ws_ = &own_ws_;
-  GenMode gen_mode_ = GenMode::kScan;
-  std::vector<uint32_t> conn_[2];  // per-side |Γ(w) ∩ H(other)| counters
+  std::vector<uint32_t> conn_;
 
   friend class TraversalEngine;
 };

@@ -14,7 +14,6 @@ LargeMbpStats LargeMbpEngine::Run(const SolutionCallback& cb) {
   topts.k = opts_.k;
   topts.theta_left = opts_.theta_left;
   topts.theta_right = opts_.theta_right;
-  topts.prune_small = true;
   topts.max_results = opts_.max_results;
   topts.time_budget_seconds = opts_.time_budget_seconds;
   topts.cancel = opts_.cancel;

@@ -77,13 +77,14 @@ struct TraversalOptions {
 
   /// Size thresholds for large-MBP enumeration (Section 5); solutions are
   /// emitted only when |L| >= theta_left and |R| >= theta_right. 0 = none.
+  /// When a theta is set under left-anchored, right-shrinking traversal
+  /// the engine also applies the Section 5 pruning rules: its one Step-1
+  /// candidate generator keeps only anchored-side vertices with at least
+  /// theta_other - k neighbors in the current solution's other side (all
+  /// of them when theta_other <= k), and subtrees and local solutions that
+  /// cannot reach the thresholds are cut.
   size_t theta_left = 0;
   size_t theta_right = 0;
-
-  /// Enables the Section 5 pruning rules (almost-satisfying-graph pruning,
-  /// local-solution pruning, solution pruning, left-side pruning). Only
-  /// sound when the theta constraints are set and right_shrinking is on.
-  bool prune_small = false;
 
   /// Optional cooperative cancellation, polled at the same cadence as the
   /// wall-clock deadline; a cancelled run stops with completed = false.

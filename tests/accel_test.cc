@@ -387,26 +387,26 @@ TEST(AccelAgreement, EveryAlgorithmMatchesBruteForceUnderMemoryBudget) {
   }
 }
 
-// The 2-hop generator must engage (and prune candidates) when the gate
-// holds, and leave the scan in place when it cannot be equivalence-
-// preserving. The candidate counts are pinned: a gate that silently
-// disengages falls back to the scan's count and fails here.
+// The candidate generator must apply its 2-hop connection floor (and
+// prune candidates) when theta_other > k, and keep every non-member when
+// no floor is sound. The candidate counts are pinned: a floor that
+// silently disengages falls back to the membership-only count and fails
+// here.
 TEST(TwoHopCandidates, EngagesOnlyUnderTheGate) {
   BipartiteGraph g = MakeRandomGraph({10, 10, 0.5, 37});
   const std::vector<Biplex> all = BruteForceMaximalBiplexes(g, 1);
 
   TraversalOptions gated = MakeITraversalOptions(1);
   gated.theta_left = gated.theta_right = 3;
-  gated.prune_small = true;
   TraversalStats with;
   EXPECT_EQ(CollectWith(g, gated, &with), FilterBySize(all, 3, 3));
-  // 687 candidates under the gate; the full scan of the same traversal
-  // (every non-member of the side per frame) considered 1,562.
+  // 687 candidates under the floor; every non-member of the side per
+  // frame of the same traversal would be 1,562.
   EXPECT_EQ(with.candidates_generated, 687u);
   EXPECT_LT(with.candidates_generated, 1562u);
 
-  // Without thetas the gate cannot hold: the engine scans, and its count
-  // is the scan's 2,409.
+  // Without thetas there is no floor: the lists hold every non-member of
+  // the side per frame, 2,409 in all.
   TraversalOptions ungated = MakeITraversalOptions(1);
   TraversalStats without;
   EXPECT_EQ(CollectWith(g, ungated, &without), all);
@@ -418,11 +418,11 @@ TEST(TwoHopCandidates, RightAnchoredTraversalAgreesToo) {
   TraversalOptions opts = MakeITraversalOptions(1);
   opts.anchored_side = Side::kRight;
   opts.theta_left = opts.theta_right = 2;
-  opts.prune_small = true;
   TraversalStats stats;
   EXPECT_EQ(CollectWith(g, opts, &stats),
             FilterBySize(BruteForceMaximalBiplexes(g, 1), 2, 2));
-  // 1,172 candidates with the generator engaged; the scan considered 1,303.
+  // 1,172 candidates under the floor; every non-member per frame would be
+  // 1,303.
   EXPECT_EQ(stats.candidates_generated, 1172u);
 }
 

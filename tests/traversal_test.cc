@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,6 +243,154 @@ TEST(Traversal, RightAnchoredEnumeratesSameSet) {
     auto got = CollectWith(g, opts);
     ASSERT_EQ(got, expect) << "seed=" << seed;
   }
+}
+
+// ------------------------------------------------------ candidate order ---
+
+// The first 25 solutions a run emits, in order, then every counter of the
+// complete run.
+std::string EmissionTrace(const BipartiteGraph& g,
+                          const TraversalOptions& opts) {
+  std::vector<Biplex> first;
+  TraversalStats s = TraversalEngine(g, opts).Run([&](const Biplex& b) {
+    if (first.size() < 25) first.push_back(b);
+    return true;
+  });
+  std::ostringstream os;
+  os << ToString(first);
+  auto line = [&os](const char* label, std::vector<uint64_t> values) {
+    os << label;
+    for (uint64_t v : values) os << " " << v;
+    os << "\n";
+  };
+  const EnumAlmostSatStats& l = s.local_stats;
+  line("completed", {s.completed});
+  line("solutions", {s.solutions_found, s.solutions_emitted});
+  line("links", {s.links, s.dedup_hits});
+  line("pruned", {s.links_pruned_right_shrinking, s.links_pruned_exclusion});
+  line("steps", {s.almost_sat_graphs, s.local_solutions, s.max_stack_depth});
+  line("candidates", {s.candidates_generated, s.candidates_pruned});
+  line("subsets", {l.b_subsets, l.a_subsets});
+  line("local", {l.local_solutions, l.adjacency_tests});
+  return os.str();
+}
+
+// Pins the DFS emission order and every counter of the iTraversal
+// configurations whose candidate lists have no connection floor
+// (exclusion on, theta_other <= k): anchored left, anchored right, and
+// k = 1 with theta = 1, where the Section 5 prunes run with a floor of 0.
+// A generator that visits other candidates, or the same ones in another
+// order, changes the trace.
+TEST(Traversal, FloorlessCandidateOrderIsPinned) {
+  const BipartiteGraph g = MakeRandomGraph({9, 9, 0.5, 52});
+  EXPECT_EQ(EmissionTrace(g, MakeITraversalOptions(1)),
+            "{ | 0 1 2 3 4 5 6 7 8 }\n"
+            "{ 0 3 4 | 0 1 2 6 }\n"
+            "{ 3 4 6 7 | 0 1 }\n"
+            "{ 0 3 4 6 | 0 1 6 }\n"
+            "{ 0 3 6 7 | 1 2 6 }\n"
+            "{ 3 6 7 | 0 1 2 }\n"
+            "{ 0 3 6 | 0 1 2 6 }\n"
+            "{ 0 3 4 7 | 1 2 6 }\n"
+            "{ 3 4 7 | 0 1 2 }\n"
+            "{ 0 3 4 | 0 2 5 6 }\n"
+            "{ 0 3 4 5 7 8 | 5 }\n"
+            "{ 0 3 4 5 8 | 5 6 }\n"
+            "{ 0 3 4 5 7 | 5 6 }\n"
+            "{ 0 3 7 8 | 2 5 }\n"
+            "{ 0 3 4 7 | 2 5 6 }\n"
+            "{ 3 4 7 | 0 2 5 }\n"
+            "{ 0 4 6 | 0 1 5 6 }\n"
+            "{ 4 6 7 | 0 1 5 }\n"
+            "{ 0 4 | 0 1 2 5 6 }\n"
+            "{ 0 1 4 5 | 1 3 5 6 }\n"
+            "{ 0 1 2 3 4 5 6 | 6 }\n"
+            "{ 0 1 2 3 4 5 6 7 8 | }\n"
+            "{ 0 1 3 4 5 6 8 | 6 }\n"
+            "{ 0 1 3 4 5 6 7 | 6 }\n"
+            "{ 0 1 2 3 4 6 | 1 6 }\n"
+            "completed 1\n"
+            "solutions 269 269\n"
+            "links 446 178\n"
+            "pruned 1014 412\n"
+            "steps 673 1872 8\n"
+            "candidates 1505 832\n"
+            "subsets 1872 2785\n"
+            "local 1872 6976\n");
+
+  TraversalOptions right = MakeITraversalOptions(1);
+  right.anchored_side = Side::kRight;
+  EXPECT_EQ(EmissionTrace(g, right),
+            "{ 0 1 2 3 4 5 6 7 8 | }\n"
+            "{ 0 3 4 | 0 1 2 6 }\n"
+            "{ | 0 1 2 3 4 5 6 7 8 }\n"
+            "{ 4 | 0 1 3 4 5 6 8 }\n"
+            "{ 4 | 0 1 3 5 6 7 8 }\n"
+            "{ 4 | 0 1 2 3 5 6 8 }\n"
+            "{ 3 4 | 0 2 6 8 }\n"
+            "{ 3 4 | 0 2 3 6 }\n"
+            "{ 0 4 | 0 1 2 5 6 }\n"
+            "{ 0 3 4 | 0 2 5 6 }\n"
+            "{ 0 3 6 | 0 1 2 6 }\n"
+            "{ 6 | 0 1 2 3 4 6 }\n"
+            "{ 3 6 | 0 1 2 4 6 }\n"
+            "{ 3 | 0 2 4 6 7 }\n"
+            "{ 3 | 0 2 4 6 8 }\n"
+            "{ 3 | 0 2 4 5 6 }\n"
+            "{ 3 6 | 0 2 3 4 6 }\n"
+            "{ 0 4 6 | 0 1 5 6 }\n"
+            "{ 0 3 4 6 | 0 1 6 }\n"
+            "{ 1 4 6 | 0 1 3 4 6 }\n"
+            "{ 4 6 | 0 1 3 4 6 8 }\n"
+            "{ 4 6 | 0 1 3 4 5 6 }\n"
+            "{ 1 | 1 3 4 6 7 8 }\n"
+            "{ 1 6 | 0 1 3 4 6 7 }\n"
+            "{ 1 4 | 1 3 6 7 8 }\n"
+            "completed 1\n"
+            "solutions 269 269\n"
+            "links 491 223\n"
+            "pruned 1065 348\n"
+            "steps 682 1904 8\n"
+            "candidates 1472 790\n"
+            "subsets 1904 2858\n"
+            "local 1904 6890\n");
+
+  TraversalOptions theta1 = MakeITraversalOptions(1);
+  theta1.theta_left = theta1.theta_right = 1;
+  EXPECT_EQ(EmissionTrace(g, theta1),
+            "{ 0 3 4 | 0 1 2 6 }\n"
+            "{ 3 4 6 7 | 0 1 }\n"
+            "{ 0 3 4 6 | 0 1 6 }\n"
+            "{ 0 3 6 7 | 1 2 6 }\n"
+            "{ 3 6 7 | 0 1 2 }\n"
+            "{ 0 3 6 | 0 1 2 6 }\n"
+            "{ 0 3 4 7 | 1 2 6 }\n"
+            "{ 3 4 7 | 0 1 2 }\n"
+            "{ 0 3 4 | 0 2 5 6 }\n"
+            "{ 0 3 4 5 7 8 | 5 }\n"
+            "{ 0 3 4 5 8 | 5 6 }\n"
+            "{ 0 3 4 5 7 | 5 6 }\n"
+            "{ 0 3 7 8 | 2 5 }\n"
+            "{ 0 3 4 7 | 2 5 6 }\n"
+            "{ 3 4 7 | 0 2 5 }\n"
+            "{ 0 4 6 | 0 1 5 6 }\n"
+            "{ 4 6 7 | 0 1 5 }\n"
+            "{ 0 4 | 0 1 2 5 6 }\n"
+            "{ 0 1 4 5 | 1 3 5 6 }\n"
+            "{ 0 1 2 3 4 5 6 | 6 }\n"
+            "{ 0 1 3 4 5 6 8 | 6 }\n"
+            "{ 0 1 3 4 5 6 7 | 6 }\n"
+            "{ 0 1 2 3 4 6 | 1 6 }\n"
+            "{ 0 1 2 4 6 7 8 | 1 }\n"
+            "{ 0 1 2 3 4 6 7 | 1 }\n"
+            "completed 1\n"
+            "solutions 268 267\n"
+            "links 444 177\n"
+            "pruned 989 383\n"
+            "steps 673 1816 8\n"
+            "candidates 1505 832\n"
+            "subsets 1872 2729\n"
+            "local 1816 6976\n");
 }
 
 // ------------------------------------------------- inflation local impl ---

@@ -29,6 +29,7 @@
 // applies the edge delta (+ inserts, - deletes) as one batch, publishing
 // a new epoch that subsequent query lines run against; one JSON object
 // describing the apply is printed per update line.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -132,9 +133,7 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
     } else if (flag == "--accel-budget") {
       auto v = next();
       if (!v) return std::nullopt;
-      try {
-        args.accel_budget = static_cast<size_t>(std::stoull(*v));
-      } catch (...) {
+      if (!ParseSize(*v, &args.accel_budget)) {
         std::cerr << "--accel-budget expects a byte count, got: " << *v
                   << "\n";
         return std::nullopt;
@@ -247,9 +246,7 @@ std::string ParseUpdateLine(const std::string& rest,
     if (token == "--max-delta-fraction") {
       std::string value;
       if (!(is >> value)) return "--max-delta-fraction expects a number";
-      try {
-        options->max_delta_fraction = std::stod(value);
-      } catch (...) {
+      if (!ParseDouble(value, &options->max_delta_fraction)) {
         return "--max-delta-fraction expects a number, got: " + value;
       }
       if (options->max_delta_fraction < 0) {
@@ -265,17 +262,17 @@ std::string ParseUpdateLine(const std::string& rest,
         colon + 1 >= token.size()) {
       return "bad update token '" + token + "' (want +L:R or -L:R)";
     }
-    VertexId l, r;
-    try {
-      l = static_cast<VertexId>(std::stoul(token.substr(1, colon - 1)));
-      r = static_cast<VertexId>(std::stoul(token.substr(colon + 1)));
-    } catch (...) {
+    // Ids are 32-bit unsigned, bounded like the wire's update op.
+    uint64_t l = 0, r = 0;
+    if (!ParseUint64(token.substr(1, colon - 1), &l) ||
+        !ParseUint64(token.substr(colon + 1), &r) || l > 4294967295u ||
+        r > 4294967295u) {
       return "bad vertex ids in update token '" + token + "'";
     }
     if (token[0] == '+') {
-      batch->Insert(l, r);
+      batch->Insert(static_cast<VertexId>(l), static_cast<VertexId>(r));
     } else {
-      batch->Remove(l, r);
+      batch->Remove(static_cast<VertexId>(l), static_cast<VertexId>(r));
     }
   }
   if (batch->empty()) return "update line has no edges";
