@@ -1,21 +1,25 @@
 // Parallel-enumeration scaling: sweeps the EnumerateRequest::threads knob
-// over 1/2/4/8 workers for one workload per plan of the parallel driver
+// over 1/2/4/8 workers for one workload per plan of the execution driver
 // (api/parallel_driver.h). Records are named "<plan>/threads=N":
 //
 //   brute-force-masks         left-mask range sharding on one dense graph
 //   imb-roots                 root-branch sharding of the set-enumeration
 //                             tree
-//   itraversal-components     connected-component sharding (multi-
-//   large-mbp-components      component graph, thresholds chosen so the
-//                             component plan is safe)
-//   itraversal-one-component  sequential fallback: one dense component
-//   btraversal-one-component  that component sharding cannot split
+//   itraversal-components     peel, split, enumerate: the request's
+//   large-mbp-components      (theta-k)-core splits into one shard per
+//                             component at every thread count, threads=1
+//                             included (multi-component graph, thresholds
+//                             chosen so the component plan is safe)
+//   itraversal-one-component  sequential: one dense component with no
+//   btraversal-one-component  thresholds, which the plan cannot split
 //
 // Each row reports wall seconds, the speedup over the 1-thread run, the
 // delivered solution count and the engine's work units. Solutions must
-// be identical down the column, and on the sequential-fallback rows so
-// must the work units: extra threads may not add work there. A mismatch
-// means a driver bug, and the bench says so loudly.
+// be identical down the column, and on every row but the two sharded
+// baselines so must the work units: the component shards are the same at
+// every thread count, so extra threads may only spread the work, never
+// add or remove any. A mismatch means a driver bug, and the bench says
+// so loudly (exit status 1).
 //
 // Speedups track the machine: on a single-core container every row is
 // ~1.0x; the >1 numbers need real hardware threads.
@@ -41,7 +45,7 @@ struct Workload {
   std::string label;  // human-readable description
   BipartiteGraph graph;
   EnumerateRequest request;  // threads overwritten per run
-  bool sequential = false;   // the driver runs it on one worker
+  bool same_work = true;     // work units equal at every thread count
 };
 
 BipartiteGraph MultiComponentGraph(size_t components, size_t side,
@@ -81,6 +85,7 @@ std::vector<Workload> MakeWorkloads(bool quick) {
     w.request.algorithm = "imb";
     w.request.theta_left = 3;
     w.request.theta_right = 3;
+    w.same_work = false;  // each root range counts the tree's root again
     out.push_back(std::move(w));
   }
   {
@@ -105,13 +110,11 @@ std::vector<Workload> MakeWorkloads(bool quick) {
   }
   // One dense connected component with no size thresholds: the component
   // plan is both unsafe (thetas do not exclude cross-component MBPs) and
-  // useless (one shard), so the driver runs the sequential engine and
-  // these rows pin that more threads cost nothing.
+  // useless (one shard), so the driver runs the sequential engine.
   {
     Workload w;
     w.plan = "itraversal-one-component";
     w.label = "itraversal (sequential fallback, one dense component)";
-    w.sequential = true;
     const size_t side = quick ? 9 : 11;
     w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
     w.request.algorithm = "itraversal";
@@ -121,7 +124,6 @@ std::vector<Workload> MakeWorkloads(bool quick) {
     Workload w;
     w.plan = "btraversal-one-component";
     w.label = "btraversal (sequential fallback, one dense component)";
-    w.sequential = true;
     const size_t side = quick ? 9 : 10;
     w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
     w.request.algorithm = "btraversal";
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
                   << " delivered " << stats.solutions << " solutions, "
                   << base_solutions << " at threads=1\n";
         consistent = false;
-      } else if (w.sequential && stats.work_units != base_work) {
+      } else if (w.same_work && stats.work_units != base_work) {
         std::cout << "ERROR: " << w.plan << " threads=" << threads
                   << " did " << stats.work_units << " work units, "
                   << base_work << " at threads=1\n";

@@ -23,6 +23,11 @@ std::string EnumerateStats::ToJson() const {
      << ",\"cancelled\":" << Bool(cancelled)
      << ",\"out_of_memory\":" << Bool(out_of_memory) << ",\"seconds\":";
   AppendDouble(os, seconds);
+  if (plan.has_value()) {
+    os << ",\"phases\":{\"plan\":{\"name\":";
+    AppendEscaped(os, plan->name);
+    os << ",\"shards\":" << plan->shards << "}}";
+  }
   if (traversal.has_value()) {
     const TraversalStats& t = *traversal;
     os << ",\"traversal\":{\"solutions_found\":" << t.solutions_found

@@ -6,6 +6,7 @@
 #ifndef KBIPLEX_API_ENUMERATE_STATS_H_
 #define KBIPLEX_API_ENUMERATE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -16,6 +17,12 @@
 #include "core/traversal_options.h"
 
 namespace kbiplex {
+
+/// The execution plan a run took (api/parallel_driver.h).
+struct ExecutionPlan {
+  std::string name;   // "sequential", "components", "roots" or "masks"
+  size_t shards = 0;  // shards the plan ran (1 for "sequential")
+};
 
 /// Outcome of one QuerySession run.
 struct EnumerateStats {
@@ -49,6 +56,11 @@ struct EnumerateStats {
 
   /// Wall-clock seconds of the run.
   double seconds = 0;
+
+  /// The plan that ran; disengaged when no backend ran (rejected,
+  /// pre-cancelled, or answered from the core bound). Serialized as
+  /// "phases":{"plan":{...}}, the object later per-phase timings join.
+  std::optional<ExecutionPlan> plan;
 
   // Backend-specific detail, preserved verbatim. At most one is engaged.
   std::optional<TraversalStats> traversal;

@@ -211,6 +211,7 @@ class LargeMbpBackend final : public AlgorithmBackend {
     opts.max_results = req.max_results;
     opts.time_budget_seconds = req.time_budget_seconds;
     opts.cancel = req.cancellation;
+    opts.core = ctx.core;
 
     OptionReader reader(req.backend_options);
     reader.TakeBool("core_reduction", &opts.core_reduction);

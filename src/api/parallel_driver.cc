@@ -4,14 +4,17 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/prepared_graph.h"
 #include "baselines/imb.h"
 #include "core/brute_force.h"
 #include "core/traversal_options.h"
 #include "graph/components.h"
+#include "graph/core_decomposition.h"
 #include "util/cancellation.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
@@ -128,19 +131,29 @@ bool RemainingBudget(const EnumerateRequest& request,
   return *remaining > 0;
 }
 
-/// Runs `body` as a pool task, converting an escaping exception into a
-/// recorded error instead of a process abort.
+/// Runs body(0) .. body(n - 1): inline on the calling thread, in index
+/// order, when `threads` < 2, else on a pool of min(threads, n) workers.
+/// An exception escaping a shard is recorded as an error instead of
+/// aborting the process.
 template <typename Body>
-void SubmitGuarded(ThreadPool* pool, ErrorCollector* errors, Body body) {
-  pool->Submit([errors, body = std::move(body)] {
+void RunShards(size_t threads, size_t n, ErrorCollector* errors,
+               const Body& body) {
+  auto guarded = [errors, &body](size_t i) {
     try {
-      body();
+      body(i);
     } catch (const std::exception& e) {
       errors->Record(std::string("worker failed: ") + e.what());
     } catch (...) {
       errors->Record("worker failed with an unknown exception");
     }
-  });
+  };
+  if (threads < 2) {
+    for (size_t i = 0; i < n; ++i) guarded(i);
+    return;
+  }
+  ThreadPool pool(std::min(threads, n));
+  for (size_t i = 0; i < n; ++i) pool.Submit([&guarded, i] { guarded(i); });
+  pool.Wait();
 }
 
 EnumerateStats RejectedStats(std::string message) {
@@ -219,9 +232,9 @@ std::vector<std::pair<uint64_t, uint64_t>> SplitRange(uint64_t total,
 
 // ------------------------------------------------- brute-force: masks ----
 
-EnumerateStats RunParallelBruteForce(const BipartiteGraph& g,
-                                     const EnumerateRequest& request,
-                                     size_t threads, SolutionSink* sink) {
+EnumerateStats RunMasks(const BipartiteGraph& g,
+                        const EnumerateRequest& request, size_t threads,
+                        SolutionSink* sink) {
   if (auto err = RejectOptions(request)) return RejectedStats(*err);
   WallTimer timer;
   Deadline deadline(request.time_budget_seconds);
@@ -234,26 +247,19 @@ EnumerateStats RunParallelBruteForce(const BipartiteGraph& g,
   const auto ranges =
       SplitRange(uint64_t{1} << g.NumLeft(), uint64_t{threads} * 8);
   std::vector<uint8_t> chunk_completed(ranges.size(), 1);
-  {
-    ThreadPool pool(std::min(threads, ranges.size()));
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        bool scan_completed = true;
-        const std::vector<Biplex> found = BruteForceMaximalBiplexesMaskRange(
-            g, request.k, &deadline, &stop, &scan_completed, ranges[i].first,
-            ranges[i].second);
-        for (const Biplex& b : found) {
-          if (deadline.Expired() || stop.IsCancelled() ||
-              !delivery.Deliver(b)) {
-            scan_completed = false;
-            break;
-          }
-        }
-        if (!scan_completed) chunk_completed[i] = 0;
-      });
+  RunShards(threads, ranges.size(), &errors, [&](size_t i) {
+    bool scan_completed = true;
+    const std::vector<Biplex> found = BruteForceMaximalBiplexesMaskRange(
+        g, request.k, &deadline, &stop, &scan_completed, ranges[i].first,
+        ranges[i].second);
+    for (const Biplex& b : found) {
+      if (deadline.Expired() || stop.IsCancelled() || !delivery.Deliver(b)) {
+        scan_completed = false;
+        break;
+      }
     }
-    pool.Wait();
-  }
+    if (!scan_completed) chunk_completed[i] = 0;
+  });
   if (std::string err = errors.Take(); !err.empty()) {
     return RejectedStats(std::move(err));
   }
@@ -264,14 +270,15 @@ EnumerateStats RunParallelBruteForce(const BipartiteGraph& g,
   out.completed = std::all_of(chunk_completed.begin(), chunk_completed.end(),
                               [](uint8_t c) { return c != 0; });
   out.seconds = timer.ElapsedSeconds();
+  out.plan = ExecutionPlan{"masks", ranges.size()};
   return out;
 }
 
 // ------------------------------------------------- imb: root branches ----
 
-EnumerateStats RunParallelImb(const BipartiteGraph& g,
-                              const EnumerateRequest& request, size_t threads,
-                              SolutionSink* sink) {
+EnumerateStats RunRoots(const BipartiteGraph& g,
+                        const EnumerateRequest& request, size_t threads,
+                        SolutionSink* sink) {
   if (auto err = RejectOptions(request)) return RejectedStats(*err);
   WallTimer timer;
   // Empty graph: SplitRange(0, n) emits one (0, 0) shard, and the backend
@@ -285,37 +292,31 @@ EnumerateStats RunParallelImb(const BipartiteGraph& g,
   const auto ranges = SplitRange(g.NumLeft() + g.NumRight(),
                                  uint64_t{threads} * 4);
   std::vector<EnumerateStats> shard_stats(ranges.size());
-  {
-    ThreadPool pool(std::min(threads, ranges.size()));
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        ImbOptions opts;
-        opts.k = request.k.left;  // uniformity validated by the facade
-        opts.theta_left = request.theta_left;
-        opts.theta_right = request.theta_right;
-        opts.max_results = request.max_results;
-        if (!RemainingBudget(request, timer, &opts.time_budget_seconds)) {
-          // A skipped shard must still carry the imb detail block:
-          // otherwise the merged stats' JSON schema would depend on which
-          // shard the expiring budget happened to hit first.
-          shard_stats[i].completed = false;
-          shard_stats[i].imb.emplace();
-          shard_stats[i].imb->completed = false;
-          return;
-        }
-        opts.cancel = &stop;
-        opts.root_begin = static_cast<size_t>(ranges[i].first);
-        opts.root_end = static_cast<size_t>(ranges[i].second);
-        ImbStats is = ImbEngine(g, opts).Run(
-            [&](const Biplex& b) { return delivery.Deliver(b); });
-        EnumerateStats& s = shard_stats[i];
-        s.work_units = is.nodes;
-        s.completed = is.completed;
-        s.imb = is;
-      });
+  RunShards(threads, ranges.size(), &errors, [&](size_t i) {
+    ImbOptions opts;
+    opts.k = request.k.left;  // uniformity validated by the facade
+    opts.theta_left = request.theta_left;
+    opts.theta_right = request.theta_right;
+    opts.max_results = request.max_results;
+    if (!RemainingBudget(request, timer, &opts.time_budget_seconds)) {
+      // A skipped shard must still carry the imb detail block: otherwise
+      // the merged stats' JSON schema would depend on which shard the
+      // expiring budget happened to hit first.
+      shard_stats[i].completed = false;
+      shard_stats[i].imb.emplace();
+      shard_stats[i].imb->completed = false;
+      return;
     }
-    pool.Wait();
-  }
+    opts.cancel = &stop;
+    opts.root_begin = static_cast<size_t>(ranges[i].first);
+    opts.root_end = static_cast<size_t>(ranges[i].second);
+    ImbStats is = ImbEngine(g, opts).Run(
+        [&](const Biplex& b) { return delivery.Deliver(b); });
+    EnumerateStats& s = shard_stats[i];
+    s.work_units = is.nodes;
+    s.completed = is.completed;
+    s.imb = is;
+  });
   if (std::string err = errors.Take(); !err.empty()) {
     return RejectedStats(std::move(err));
   }
@@ -323,14 +324,16 @@ EnumerateStats RunParallelImb(const BipartiteGraph& g,
   EnumerateStats out = MergeShardStats(std::move(shard_stats));
   out.solutions = delivery.delivered();
   out.seconds = timer.ElapsedSeconds();
+  out.plan = ExecutionPlan{"roots", ranges.size()};
   return out;
 }
 
 // ------------------------------------- everything else: components -------
 
 /// Sink handed to a component worker's backend: translates the
-/// component's compact ids back to parent ids (the maps are ascending, so
-/// sortedness is preserved) and forwards to the shared delivery.
+/// component's compact ids back to execution-graph ids (the maps are
+/// ascending, so sortedness is preserved) and forwards to the shared
+/// delivery.
 class MappingSink final : public SolutionSink {
  public:
   MappingSink(SharedDelivery* delivery, const InducedSubgraph& component)
@@ -354,102 +357,82 @@ class MappingSink final : public SolutionSink {
   const InducedSubgraph& component_;
 };
 
-/// Declines (nullopt) unless sharding is provably safe and at least two
-/// components can host a deliverable solution.
-std::optional<EnumerateStats> TryRunParallelComponents(
-    const PreparedGraph& prepared, const EnumerateRequest& request,
-    const AlgorithmRegistry& registry, size_t threads, SolutionSink* sink) {
-  if (!ComponentShardingIsSafe(request.k, request.theta_left,
-                               request.theta_right)) {
-    return std::nullopt;
-  }
-  // max_links is an engine-internal work counter with no cross-engine
-  // accounting hook; copying it into every shard would turn the global
-  // budget into a per-shard one (a truncated 1-thread run could "complete"
-  // in parallel). Run sequentially rather than change its meaning.
-  if (request.max_links != 0) return std::nullopt;
-  WallTimer timer;
-  const BipartiteGraph& g = prepared.ExecutionGraph();
+/// True iff the request may take the component plan: solutions provably
+/// never span two components, and no per-enumeration budget would turn
+/// into a per-shard one if copied into every shard. max_links is an
+/// engine-internal work counter with no cross-engine accounting hook, and
+/// the inflation baseline's max_inflated_edges is a memory guard: copying
+/// either would let a truncated or OUT run "complete" when sharded.
+bool ComponentPlanApplies(const EnumerateRequest& request,
+                          const AlgorithmInfo& info) {
+  return info.name != "brute-force" && info.name != "imb" &&
+         ComponentShardingIsSafe(request.k, request.theta_left,
+                                 request.theta_right) &&
+         request.max_links == 0 &&
+         !(info.name == "inflation" &&
+           request.backend_options.count("max_inflated_edges") != 0);
+}
 
-  // Cheap labeling pass first (cached on the prepared graph, so repeated
-  // parallel queries of one session pay for it once): a component too
-  // small for the thresholds cannot host a deliverable solution (and
-  // spanning solutions are excluded by the safety check), and unless at
-  // least two components survive that filter the common single-component
-  // case bails out here without materializing any induced subgraph.
-  const ComponentLabeling& labels = prepared.Components();
-  std::vector<std::pair<size_t, size_t>> comp_sizes(labels.num_components);
-  for (VertexId l = 0; l < g.NumLeft(); ++l) {
-    ++comp_sizes[labels.left[l]].first;
-  }
-  for (VertexId r = 0; r < g.NumRight(); ++r) {
-    ++comp_sizes[labels.right[r]].second;
-  }
-  std::vector<int> shard_of(labels.num_components, -1);
-  int num_shards = 0;
-  for (int c = 0; c < labels.num_components; ++c) {
-    if (comp_sizes[c].first >= request.theta_left &&
-        comp_sizes[c].second >= request.theta_right) {
-      shard_of[c] = num_shards++;
+/// Split: the peeled core's connected components that can host a
+/// deliverable solution, with id maps composed back to execution-graph
+/// ids, largest first (a fixed order, so a straggler starts early).
+std::vector<InducedSubgraph> SplitCore(const InducedSubgraph& core,
+                                       const EnumerateRequest& request) {
+  std::vector<InducedSubgraph> shards;
+  for (InducedSubgraph& c : ConnectedComponents(core.graph)) {
+    if (c.graph.NumLeft() < request.theta_left ||
+        c.graph.NumRight() < request.theta_right) {
+      continue;
     }
+    for (VertexId& v : c.left_map) v = core.left_map[v];
+    for (VertexId& u : c.right_map) u = core.right_map[u];
+    shards.push_back(std::move(c));
   }
-  if (num_shards < 2) return std::nullopt;
+  std::stable_sort(shards.begin(), shards.end(),
+                   [](const InducedSubgraph& a, const InducedSubgraph& b) {
+                     return a.graph.NumEdges() > b.graph.NumEdges();
+                   });
+  return shards;
+}
 
-  // Every component, materialized once on the prepared graph and shared
-  // by all subsequent component-sharded queries; this query only indexes
-  // into the cache. The labeling bail-outs above keep single-component
-  // graphs (the common case) from ever paying the materialization.
-  const std::vector<InducedSubgraph>& components =
-      prepared.ComponentSubgraphs();
-  std::vector<size_t> shard_comp;  // component id of each shard
-  shard_comp.reserve(num_shards);
-  for (int c = 0; c < labels.num_components; ++c) {
-    if (shard_of[c] >= 0) shard_comp.push_back(static_cast<size_t>(c));
-  }
-
+/// Enumerate: runs the backend on every shard and merges the results.
+/// `timer` started before the peel, which counts toward the time budget
+/// and the run's seconds.
+EnumerateStats RunComponents(const QueryContext& ctx,
+                             const std::vector<InducedSubgraph>& shards,
+                             const EnumerateRequest& request,
+                             const AlgorithmRegistry& registry,
+                             const AlgorithmInfo& info, size_t threads,
+                             const WallTimer& timer, SolutionSink* sink) {
   CancellationToken stop(request.cancellation);
   SharedDelivery delivery(request, sink, &stop);
   ErrorCollector errors;
-  std::vector<EnumerateStats> shard_stats(shard_comp.size());
-  {
-    // Big components first so a straggler starts early. The cache is
-    // shared and immutable, so order the shard index, not the subgraphs.
-    std::sort(shard_comp.begin(), shard_comp.end(),
-              [&](size_t a, size_t b) {
-                return components[a].graph.NumEdges() >
-                       components[b].graph.NumEdges();
-              });
-    ThreadPool pool(std::min(threads, shard_comp.size()));
-    for (size_t i = 0; i < shard_comp.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        const InducedSubgraph& component = components[shard_comp[i]];
-        EnumerateRequest shard_request = request;
-        shard_request.cancellation = &stop;
-        shard_request.threads = 1;
-        if (!RemainingBudget(request, timer,
-                             &shard_request.time_budget_seconds)) {
-          shard_stats[i].completed = false;
-          return;
-        }
-        std::unique_ptr<AlgorithmBackend> backend =
-            registry.Create(shard_request.algorithm);
-        MappingSink mapping(&delivery, component);
-        // Each shard wraps its component in a borrowed prepared graph (no
-        // artifacts, no scratch): workers must not share the session's
-        // single-threaded scratch, and the cached component graphs must
-        // stay untouched for the queries that follow.
-        std::shared_ptr<const PreparedGraph> shard_prepared =
-            PreparedGraph::Borrow(component.graph);
-        QueryContext shard_ctx{shard_prepared.get(), nullptr};
-        shard_stats[i] = backend->Run(shard_ctx, shard_request, &mapping);
-        if (!shard_stats[i].error.empty()) {
-          errors.Record(shard_stats[i].error);
-          stop.Cancel();  // identical rejection awaits the other shards
-        }
-      });
+  std::vector<EnumerateStats> shard_stats(shards.size());
+  RunShards(threads, shards.size(), &errors, [&](size_t i) {
+    EnumerateRequest shard_request = request;
+    shard_request.cancellation = &stop;
+    shard_request.threads = 1;
+    if (!RemainingBudget(request, timer,
+                         &shard_request.time_budget_seconds)) {
+      shard_stats[i].completed = false;
+      return;
     }
-    pool.Wait();
-  }
+    MappingSink mapping(&delivery, shards[i]);
+    // Each shard wraps its component in a borrowed prepared graph (no
+    // artifacts). Inline shards run one after another on the calling
+    // thread and may reuse the session's scratch; pool workers must not
+    // share it.
+    std::shared_ptr<const PreparedGraph> shard_prepared =
+        PreparedGraph::Borrow(shards[i].graph);
+    QueryContext shard_ctx{shard_prepared.get(),
+                           threads < 2 ? ctx.scratch : nullptr};
+    shard_stats[i] =
+        registry.Create(info.name)->Run(shard_ctx, shard_request, &mapping);
+    if (!shard_stats[i].error.empty()) {
+      errors.Record(shard_stats[i].error);
+      stop.Cancel();  // identical rejection awaits the other shards
+    }
+  });
   if (std::string err = errors.Take(); !err.empty()) {
     return RejectedStats(std::move(err));
   }
@@ -457,6 +440,7 @@ std::optional<EnumerateStats> TryRunParallelComponents(
   EnumerateStats out = MergeShardStats(std::move(shard_stats));
   out.solutions = delivery.delivered();
   out.seconds = timer.ElapsedSeconds();
+  out.plan = ExecutionPlan{"components", shards.size()};
   return out;
 }
 
@@ -494,35 +478,43 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right) {
          (theta_right > kl && theta_left > 2 * kr);
 }
 
-std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
-                                             const EnumerateRequest& request,
-                                             const AlgorithmRegistry& registry,
-                                             const AlgorithmInfo& info,
-                                             SolutionSink* sink) {
+EnumerateStats RunPlan(const QueryContext& ctx,
+                       const EnumerateRequest& request,
+                       const AlgorithmRegistry& registry,
+                       const AlgorithmInfo& info, SolutionSink* sink) {
   const size_t threads = ResolveThreadCount(request.threads);
-  if (threads < 2) return std::nullopt;
-  const BipartiteGraph& g = prepared.ExecutionGraph();
-  if (info.name == "brute-force") {
-    if (g.NumLeft() == 0) return std::nullopt;  // one mask; nothing to split
-    return RunParallelBruteForce(g, request, threads, sink);
+  const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+  // One mask or one root: nothing to split. The empty graph (0 roots)
+  // stays on the roots plan so its result and stats schema match any
+  // other parallel imb run.
+  if (threads >= 2 && info.name == "brute-force" && g.NumLeft() != 0) {
+    return RunMasks(g, request, threads, sink);
   }
-  if (info.name == "imb") {
-    // Single root: nothing to split, run sequentially. The empty graph
-    // (0 roots) stays on the parallel plan so its result and stats schema
-    // match any other parallel imb run; its sole (0, 0) shard reports the
-    // empty biplex exactly like the sequential backend.
-    if (g.NumLeft() + g.NumRight() == 1) return std::nullopt;
-    return RunParallelImb(g, request, threads, sink);
+  if (threads >= 2 && info.name == "imb" &&
+      g.NumLeft() + g.NumRight() != 1) {
+    return RunRoots(g, request, threads, sink);
   }
-  // Like the component plan's max_links guard, the inflation baseline's
-  // max_inflated_edges is a per-enumeration memory guard: copying it into
-  // every component shard would multiply the allowed blow-up and flip OUT
-  // runs to "completed".
-  if (info.name == "inflation" &&
-      request.backend_options.count("max_inflated_edges") != 0) {
-    return std::nullopt;
+  WallTimer timer;
+  QueryContext seq_ctx = ctx;
+  InducedSubgraph core;
+  if (ComponentPlanApplies(request, info)) {
+    // Peel: every solution lies in this core (see LargeMbpEngine), and by
+    // the safety condition none spans two of its components.
+    core = AlphaBetaCoreSubgraph(
+        g, request.theta_right - static_cast<size_t>(request.k.left),
+        request.theta_left - static_cast<size_t>(request.k.right));
+    const std::vector<InducedSubgraph> shards = SplitCore(core, request);
+    if (shards.size() >= 2) {
+      return RunComponents(ctx, shards, request, registry, info, threads,
+                           timer, sink);
+    }
+    seq_ctx.core = &core;
   }
-  return TryRunParallelComponents(prepared, request, registry, threads, sink);
+  const double peel_seconds = timer.ElapsedSeconds();
+  EnumerateStats out = registry.Create(info.name)->Run(seq_ctx, request, sink);
+  out.seconds += peel_seconds;
+  if (out.ok()) out.plan = ExecutionPlan{"sequential", 1};
+  return out;
 }
 
 }  // namespace internal

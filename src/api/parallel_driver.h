@@ -1,45 +1,51 @@
-// The multi-threaded enumeration driver behind EnumerateRequest::threads.
+// The execution plan behind every QuerySession run, at every thread
+// count. Each plan runs an existing sequential engine on shards chosen so
+// that the union of the shards' solution sets provably equals the
+// sequential run's set:
 //
-// Parallelism lives at the facade layer: every worker runs an existing
-// sequential engine on a shard chosen so that the union of the shards'
-// solution sets provably equals the sequential run's set. Three plans:
+//   masks       brute-force at threads >= 2: each worker scans a slice of
+//               the 2^|L| candidate masks; maximality is judged against
+//               the whole graph, so slices are disjoint and complete.
+//   roots       imb at threads >= 2: the top-level branches of the
+//               set-enumeration tree are independent, so a partition of
+//               them across workers is disjoint and complete.
+//   components  everything else (traversal family, large-mbp, inflation)
+//               at every thread count, in three steps. Peel: reduce the
+//               execution graph to the request's
+//               (theta_right - k.left, theta_left - k.right)-core, which
+//               holds every solution. Split: label the core's connected
+//               components and keep those with >= theta_left left and
+//               >= theta_right right vertices. Enumerate: run the backend
+//               on each kept component. Only when the thresholds exclude
+//               solutions spanning components (ComponentShardingIsSafe),
+//               the request has no max_links and no inflation
+//               max_inflated_edges, and at least two components are kept.
+//               threads = 1 runs the shards inline on the calling thread
+//               in a fixed order (no pool, so any sink is accepted);
+//               threads >= 2 runs them on min(threads, shards) workers.
+//               Either way the shards and their work counters are the
+//               same. One component is never split further: dividing its
+//               solution graph across workers would switch off the
+//               exclusion prune (Section 3.5).
+//   sequential  otherwise: the backend runs once on the execution graph,
+//               with the attached index and the session scratch. A
+//               large-mbp run reuses the plan's peel instead of peeling
+//               again.
 //
-//   brute-force     left-mask ranges: each worker scans a slice of the
-//                   2^|L| candidate masks; maximality is judged against
-//                   the whole graph, so slices are disjoint and complete.
-//                   Always available.
-//   imb             root-branch ranges of the set-enumeration tree: the
-//                   top-level branches are independent, so a partition of
-//                   them across workers is disjoint and complete. Always
-//                   available.
-//   everything else connected-component sharding: each worker enumerates
-//   (traversal      one component's induced subgraph. Only equivalent
-//   family,         when the size thresholds provably exclude solutions
-//   large-mbp,      spanning several components (see
-//   inflation)      ComponentShardingIsSafe) and at least two components
-//                   can host a solution; otherwise the facade runs the
-//                   sequential engine. One component is never split:
-//                   dividing its solution graph across workers would
-//                   switch off the exclusion prune (Section 3.5), which
-//                   costs more work than the extra workers recover.
-//
-// Global budgets stay global: workers share one Delivery guarding the
-// caller's sink with a mutex and counting delivered solutions atomically;
-// reaching max_results (or a sink refusal) fires a driver-owned
-// CancellationToken chained to the caller's token, stopping every worker
-// at its next poll point.
+// Global budgets stay global: shards share one delivery point guarding
+// the caller's sink with a mutex and counting delivered solutions
+// atomically; reaching max_results (or a sink refusal) fires a
+// driver-owned CancellationToken chained to the caller's token, stopping
+// every shard at its next poll point.
 #ifndef KBIPLEX_API_PARALLEL_DRIVER_H_
 #define KBIPLEX_API_PARALLEL_DRIVER_H_
 
 #include <cstddef>
-#include <optional>
 
 #include "api/enumerate_request.h"
 #include "api/enumerate_stats.h"
-#include "api/prepared_graph.h"
 #include "api/registry.h"
 #include "api/solution_sink.h"
-#include "graph/bipartite_graph.h"
 
 namespace kbiplex {
 namespace internal {
@@ -56,20 +62,16 @@ size_t ResolveThreadCount(int threads);
 /// an optimization detail).
 bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
 
-/// Runs `request` with the multi-threaded driver against
-/// `prepared.ExecutionGraph()`, or returns nullopt when no equivalent
-/// parallel plan exists (single worker resolved, unsafe component
-/// sharding, degenerate graph) — the caller then runs the normal
-/// sequential path. The component plan consumes the prepared graph's
-/// cached component labeling instead of recomputing it per run. Solutions
-/// are delivered in execution-graph ids; renumbering map-back is the
-/// caller's concern. Pre-conditions: the request passed facade validation
-/// for `info` and request.threads >= 0.
-std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
-                                             const EnumerateRequest& request,
-                                             const AlgorithmRegistry& registry,
-                                             const AlgorithmInfo& info,
-                                             SolutionSink* sink);
+/// Runs `request` against `ctx.prepared->ExecutionGraph()` under the plan
+/// chosen above and records it in the result's `plan`. Solutions are
+/// delivered in execution-graph ids; renumbering map-back is the
+/// caller's concern. Pre-conditions: the request passed session
+/// validation for `info`, request.threads >= 0, and `sink` is thread
+/// compatible unless request.threads == 1.
+EnumerateStats RunPlan(const QueryContext& ctx,
+                       const EnumerateRequest& request,
+                       const AlgorithmRegistry& registry,
+                       const AlgorithmInfo& info, SolutionSink* sink);
 
 }  // namespace internal
 }  // namespace kbiplex

@@ -149,21 +149,6 @@ const ComponentLabeling& PreparedGraph::Components() const {
   return components_;
 }
 
-const std::vector<InducedSubgraph>& PreparedGraph::ComponentSubgraphs()
-    const {
-  std::call_once(component_subgraphs_once_, [this] {
-    const BipartiteGraph& g = ExecutionGraph();  // outside the timed region
-    WallTimer timer;
-    // ConnectedComponents numbers components exactly like
-    // LabelConnectedComponents (by smallest (side, id) vertex), so the
-    // result is index-aligned with Components() by construction.
-    component_subgraphs_ = ConnectedComponents(g);
-    counters_.Count(&PrepareArtifactStats::component_subgraph_builds,
-                    timer.ElapsedSeconds());
-  });
-  return component_subgraphs_;
-}
-
 size_t PreparedGraph::MaxUniformCore() const {
   std::call_once(core_bound_once_, [this] {
     const BipartiteGraph& g = ExecutionGraph();  // outside the timed region
@@ -190,7 +175,6 @@ std::string PrepareArtifactStats::ToJson() const {
   std::ostringstream os;
   os << "{\"execution_graph_builds\":" << execution_graph_builds
      << ",\"component_builds\":" << component_builds
-     << ",\"component_subgraph_builds\":" << component_subgraph_builds
      << ",\"core_bound_builds\":" << core_bound_builds
      << ",\"build_seconds\":";
   json::AppendDouble(os, build_seconds);

@@ -2,8 +2,8 @@
 // PreparedGraph owns a loaded BipartiteGraph plus the expensive
 // preprocessing artifacts every query over that graph wants — the hybrid
 // bitset adjacency index, the degeneracy renumbering (solutions are mapped
-// back to input ids automatically), the connected-component labeling used
-// by the parallel driver, and a core-decomposition bound that lets
+// back to input ids automatically), the connected-component labeling, and
+// a core-decomposition bound that lets
 // provably-empty queries answer instantly. Artifacts are built lazily, at
 // most once, and are safe to consume from any number of concurrent
 // QuerySessions (api/query_session.h):
@@ -95,7 +95,6 @@ struct PrepareOptions {
 struct PrepareArtifactStats {
   int execution_graph_builds = 0;  // renumbering and/or index attach
   int component_builds = 0;
-  int component_subgraph_builds = 0;  // materialized per-component graphs
   int core_bound_builds = 0;
   double build_seconds = 0;  // total time spent inside artifact builds
 
@@ -183,17 +182,9 @@ class PreparedGraph {
   /// The id maps of the renumbered execution graph. Requires renumbered().
   const RenumberedGraph& Renumbering() const;
 
-  /// Connected-component labeling of the execution graph (consumed by the
-  /// parallel driver). Built on first call, then cached; thread-safe.
+  /// Connected-component labeling of the execution graph (carried across
+  /// update epochs). Built on first call, then cached; thread-safe.
   const ComponentLabeling& Components() const;
-
-  /// Materialized induced subgraphs of every connected component of the
-  /// execution graph, index-aligned with the labels of Components().
-  /// Built on first call, then cached and shared by every subsequent
-  /// component-sharded query; thread-safe. Roughly doubles the graph's
-  /// resident memory, so callers should bail out via the cheap labeling
-  /// (e.g. fewer than two shardable components) before touching this.
-  const std::vector<InducedSubgraph>& ComponentSubgraphs() const;
 
   /// The largest a such that the (a,a)-core of the graph is non-empty
   /// (0 for an edgeless graph). Any k-biplex whose thresholds demand
@@ -296,9 +287,6 @@ class PreparedGraph {
 
   mutable std::once_flag components_once_;
   mutable ComponentLabeling components_;
-
-  mutable std::once_flag component_subgraphs_once_;
-  mutable std::vector<InducedSubgraph> component_subgraphs_;
 
   mutable std::once_flag core_bound_once_;
   mutable size_t max_uniform_core_ = 0;

@@ -138,18 +138,10 @@ EnumerateStats QuerySession::Run(const EnumerateRequest& request,
                        sink);
     SolutionSink* delivery =
         prepared.renumbered() ? static_cast<SolutionSink*>(&mapper) : sink;
-    // The session's scratch is single-threaded state; parallel plans spawn
-    // workers with their own per-run scratch (the driver never forwards
-    // it).
+    // The session's scratch is single-threaded state; pool workers get
+    // their own per-run scratch (the driver never hands it to them).
     QueryContext ctx{&prepared, &scratch_};
-    std::optional<EnumerateStats> parallel;
-    if (request.threads != 1) {
-      parallel = internal::TryRunParallel(prepared, request, registry, *info,
-                                          delivery);
-    }
-    out = parallel.has_value()
-              ? std::move(*parallel)
-              : registry.Create(name)->Run(ctx, request, delivery);
+    out = internal::RunPlan(ctx, request, registry, *info, delivery);
     if (!out.ok()) out.completed = false;
     if (!out.completed && Cancelled(request.cancellation)) {
       out.cancelled = true;

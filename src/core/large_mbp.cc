@@ -33,11 +33,15 @@ LargeMbpStats LargeMbpEngine::Run(const SolutionCallback& cb) {
   // keeps >= θ_right − k right neighbors and vice versa, and adding any
   // eligible outside vertex would extend the core (Section 6.1). So we may
   // enumerate on the reduced subgraph and translate ids back.
-  const size_t kl = static_cast<size_t>(opts_.k.left);
-  const size_t kr = static_cast<size_t>(opts_.k.right);
-  const size_t alpha = opts_.theta_right > kl ? opts_.theta_right - kl : 0;
-  const size_t beta = opts_.theta_left > kr ? opts_.theta_left - kr : 0;
-  InducedSubgraph core = AlphaBetaCoreSubgraph(g_, alpha, beta);
+  InducedSubgraph peeled;
+  if (opts_.core == nullptr) {
+    const size_t kl = static_cast<size_t>(opts_.k.left);
+    const size_t kr = static_cast<size_t>(opts_.k.right);
+    const size_t alpha = opts_.theta_right > kl ? opts_.theta_right - kl : 0;
+    const size_t beta = opts_.theta_left > kr ? opts_.theta_left - kr : 0;
+    peeled = AlphaBetaCoreSubgraph(g_, alpha, beta);
+  }
+  const InducedSubgraph& core = opts_.core != nullptr ? *opts_.core : peeled;
   stats.core_left = core.graph.NumLeft();
   stats.core_right = core.graph.NumRight();
   if (core.graph.NumLeft() < opts_.theta_left ||

@@ -22,6 +22,11 @@ struct LargeMbpOptions {
   /// large MBP survives the reduction because each of its vertices has at
   /// least θ−k neighbors inside it.
   bool core_reduction = true;
+  /// Optional (θ−k)-core of the graph that the caller already peeled with
+  /// this run's thresholds (as AlphaBetaCoreSubgraph returns it); the
+  /// reduction then traverses it instead of peeling again. Not owned, may
+  /// be null; ignored without core_reduction.
+  const InducedSubgraph* core = nullptr;
   uint64_t max_results = 0;
   double time_budget_seconds = 0;
   /// Optional cooperative cancellation, forwarded to the traversal engine;

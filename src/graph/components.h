@@ -1,8 +1,9 @@
-// Connected-component decomposition of a bipartite graph. The parallel
-// enumeration driver (api/) shards the traversal-family backends by
-// component: each worker enumerates one component's induced subgraph, so
-// the decomposition returns InducedSubgraph values whose id maps translate
-// worker solutions back to the parent graph.
+// Connected-component decomposition of a bipartite graph. The execution
+// plan (api/parallel_driver.h) shards the traversal-family backends by
+// the components of the request's peeled core: each shard enumerates one
+// component's induced subgraph, so the decomposition returns
+// InducedSubgraph values whose id maps translate shard solutions back to
+// the parent graph.
 #ifndef KBIPLEX_GRAPH_COMPONENTS_H_
 #define KBIPLEX_GRAPH_COMPONENTS_H_
 
@@ -12,11 +13,10 @@
 
 namespace kbiplex {
 
-/// Per-vertex connected-component labels — the cheap O(V + E) pre-pass.
-/// Callers that may not need the materialized subgraphs (e.g. the
-/// parallel driver bailing out on single-component graphs) inspect the
-/// labeling first and only pay for Induce() when sharding is worthwhile.
-/// Components are numbered by their smallest (side, id) vertex.
+/// Per-vertex connected-component labels — the cheap O(V + E) pass, for
+/// callers that need no materialized subgraphs (PreparedGraph caches it
+/// and carries it across update epochs). Components are numbered by
+/// their smallest (side, id) vertex.
 struct ComponentLabeling {
   int num_components = 0;
   std::vector<int> left;   // component of each left vertex

@@ -43,6 +43,10 @@ struct Server::Connection {
   Mutex mu;  // guards fd lifecycle and serializes writes
   int fd KBIPLEX_GUARDED_BY(mu) = -1;
   std::atomic<bool> alive{true};
+  /// Set by the connection thread as its last statement, so the acceptor
+  /// can join it without blocking. `alive` cannot serve: a failed write
+  /// clears it while the thread is still running.
+  std::atomic<bool> exited{false};
 
   /// The socket, for the owning connection thread's recv loop. Only that
   /// thread ever closes the fd (CloseFd, at loop exit), so the value it
@@ -264,17 +268,19 @@ void Server::AcceptLoop() {
     }
     ++open_connections_;
     MutexLock lock(&conn_mu_);
-    // Prune entries whose thread already exited so a long-lived daemon's
-    // connection list tracks live connections, not history. (The thread
-    // handles are only reclaimed at Wait(); acceptable for this scale.)
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [](const std::shared_ptr<Connection>& c) {
-                         return !c->alive.load();
-                       }),
-        connections_.end());
-    connections_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ConnectionLoop(conn); });
+    // Join the threads of connections that already ended, so a long-lived
+    // daemon keeps one thread (and one mapped stack) per open connection,
+    // not per connection it ever accepted.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->conn->exited.load()) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    connections_.push_back(
+        {conn, std::thread([this, conn] { ConnectionLoop(conn); })});
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -307,6 +313,7 @@ void Server::ConnectionLoop(std::shared_ptr<Connection> conn) {
   }
   conn->CloseFd();
   --open_connections_;
+  conn->exited.store(true);
 }
 
 void Server::HandleLine(const std::shared_ptr<Connection>& conn,
@@ -624,7 +631,7 @@ void Server::DrainLoop() {
   for (;;) {
     {
       MutexLock lock(&conn_mu_);
-      for (const auto& conn : connections_) conn->ShutdownBoth();
+      for (const ConnectionThread& c : connections_) c.conn->ShutdownBoth();
     }
     if (open_connections_.load() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -648,8 +655,8 @@ void Server::Wait() {
     if (worker.joinable()) worker.join();
   {
     MutexLock lock(&conn_mu_);
-    for (std::thread& thread : conn_threads_)
-      if (thread.joinable()) thread.join();
+    for (ConnectionThread& c : connections_)
+      if (c.thread.joinable()) c.thread.join();
   }
   {
     // Safe to join while holding state_mu_: once drained_ is set the

@@ -137,10 +137,16 @@ class Server {
   std::thread acceptor_;
   std::vector<std::thread> workers_;
 
+  /// An accepted connection and the thread serving it.
+  struct ConnectionThread {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
+
   Mutex conn_mu_;
-  std::vector<std::shared_ptr<Connection>> connections_
-      KBIPLEX_GUARDED_BY(conn_mu_);
-  std::vector<std::thread> conn_threads_ KBIPLEX_GUARDED_BY(conn_mu_);
+  // Open connections plus at most the ones that ended since the last
+  // accept (AcceptLoop joins those); Wait() joins the rest.
+  std::vector<ConnectionThread> connections_ KBIPLEX_GUARDED_BY(conn_mu_);
 
   // Lock-ordering rule: conn_mu_ and state_mu_ are leaf locks — no code
   // path holds both at once (docs/concurrency.md).

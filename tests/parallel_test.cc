@@ -3,6 +3,7 @@
 // chaining, the canonical-order SortingSink, and — the load-bearing
 // property — that the multi-threaded driver delivers exactly the 1-thread
 // solution set for every registered algorithm.
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -16,6 +17,9 @@
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
 #include "api/solution_sink.h"
+#include "core/brute_force.h"
+#include "core/btraversal.h"
+#include "core/large_mbp.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "test_support.h"
@@ -382,6 +386,197 @@ TEST(ParallelFacade, OneComponentDoesNoExtraWorkAtMoreThreads) {
           << name << " threads=" << threads;
     }
   }
+}
+
+// ------------------------------------ peel, split, enumerate: threads=1 --
+
+/// A small `communities` graph: two dense 5x5 blocks, each tied by two
+/// edges to one sparse base path r0-l0-r1, so the whole graph is one
+/// connected component. The k = 1, theta = 4 peel (the (3, 3)-core)
+/// unravels the base and leaves the two blocks as separate components.
+/// 11 x 12 vertices keep the brute-force oracle affordable.
+BipartiteGraph BlocksOnABase() {
+  constexpr VertexId kSide = 5;
+  constexpr VertexId kBlocks = 2;
+  std::vector<BipartiteGraph::Edge> edges = {{0, 0}, {0, 1}};  // the base
+  for (VertexId b = 0; b < kBlocks; ++b) {
+    const VertexId left = 1 + b * kSide;
+    const VertexId right = kBlocks + b * kSide;
+    const BipartiteGraph block = MakeRandomGraph({kSide, kSide, 0.8, 41 + b});
+    for (const auto& [l, r] : block.Edges()) {
+      edges.emplace_back(l + left, r + right);
+    }
+    edges.emplace_back(left, b);  // two block left vertices -> base r_b
+    edges.emplace_back(left + 1, b);
+  }
+  return BipartiteGraph::FromEdges(1 + kBlocks * kSide,
+                                   kBlocks + kBlocks * kSide,
+                                   std::move(edges));
+}
+
+TEST(ComponentPlan, ThreadsOneSplitsThePeeledCoreLikeThreadsFour) {
+  const BipartiteGraph g = BlocksOnABase();
+  ASSERT_EQ(ConnectedComponents(g).size(), 1u);
+  const std::vector<Biplex> expect =
+      FilterBySize(BruteForceMaximalBiplexes(g, 1), 4, 4);
+  ASSERT_GE(expect.size(), 2u);
+
+  // The whole-core run the plan replaces: one traversal over all blocks.
+  LargeMbpOptions opts;
+  opts.theta_left = 4;
+  opts.theta_right = 4;
+  const LargeMbpStats whole = LargeMbpEngine(g, opts).Run(
+      [](const Biplex&) { return true; });
+  ASSERT_EQ(whole.traversal.solutions_emitted, expect.size());
+
+  QuerySession session(PreparedGraph::Borrow(g));
+  for (const char* name : {"large-mbp", "itraversal"}) {
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 4;
+    req.theta_right = 4;
+    req.threads = 1;
+    EnumerateStats one;
+    const std::vector<Biplex> got_one = session.Collect(req, &one);
+    req.threads = 4;
+    EnumerateStats four;
+    const std::vector<Biplex> got_four = session.Collect(req, &four);
+    ASSERT_TRUE(one.ok() && four.ok()) << name;
+    EXPECT_EQ(got_one, expect) << name;
+    EXPECT_EQ(got_four, expect) << name;
+    for (const EnumerateStats* s : {&one, &four}) {
+      ASSERT_TRUE(s->plan.has_value()) << name;
+      EXPECT_EQ(s->plan->name, "components") << name;
+      EXPECT_EQ(s->plan->shards, 2u) << name;
+    }
+    const TraversalStats& t1 =
+        one.large_mbp ? one.large_mbp->traversal : *one.traversal;
+    const TraversalStats& t4 =
+        four.large_mbp ? four.large_mbp->traversal : *four.traversal;
+    EXPECT_EQ(one.work_units, four.work_units) << name;
+    EXPECT_EQ(t1.almost_sat_graphs, t4.almost_sat_graphs) << name;
+    if (one.large_mbp) {
+      EXPECT_LT(one.work_units, whole.traversal.links);
+      EXPECT_LT(t1.almost_sat_graphs, whole.traversal.almost_sat_graphs);
+    }
+  }
+}
+
+TEST(ComponentPlan, UnsafeThresholdsAndLinkBudgetsKeepTheSequentialRun) {
+  // The plan must leave these requests on the sequential engine over the
+  // execution graph, counter for counter.
+  const BipartiteGraph g = BlocksOnABase();
+  QuerySession session(PreparedGraph::Borrow(g));
+
+  EnumerateRequest unsafe;  // theta <= 2k: spanning solutions exist
+  unsafe.algorithm = "large-mbp";
+  unsafe.theta_left = 2;
+  unsafe.theta_right = 2;
+  LargeMbpOptions lopts;
+  lopts.theta_left = 2;
+  lopts.theta_right = 2;
+  const LargeMbpStats direct_large =
+      LargeMbpEngine(g, lopts).Run([](const Biplex&) { return true; });
+
+  EnumerateRequest capped;  // safe thresholds, but a global link budget
+  capped.algorithm = "itraversal";
+  capped.theta_left = 4;
+  capped.theta_right = 4;
+  capped.max_links = 1u << 30;  // large enough to complete
+  TraversalOptions topts = MakeITraversalOptions(1);
+  topts.theta_left = 4;
+  topts.theta_right = 4;
+  topts.max_links = capped.max_links;
+  const TraversalStats direct_trav =
+      TraversalEngine(g, topts).Run([](const Biplex&) { return true; });
+
+  for (int threads : {1, 4}) {
+    unsafe.threads = threads;
+    EnumerateStats s;
+    session.Count(unsafe, &s);
+    ASSERT_TRUE(s.ok() && s.large_mbp.has_value()) << s.error;
+    ASSERT_TRUE(s.plan.has_value());
+    EXPECT_EQ(s.plan->name, "sequential");
+    EXPECT_EQ(s.large_mbp->core_left, direct_large.core_left);
+    EXPECT_EQ(s.large_mbp->traversal.links, direct_large.traversal.links);
+    EXPECT_EQ(s.large_mbp->traversal.almost_sat_graphs,
+              direct_large.traversal.almost_sat_graphs);
+    EXPECT_EQ(s.large_mbp->traversal.local_stats.adjacency_tests,
+              direct_large.traversal.local_stats.adjacency_tests);
+
+    capped.threads = threads;
+    EnumerateStats c;
+    session.Count(capped, &c);
+    ASSERT_TRUE(c.ok() && c.traversal.has_value()) << c.error;
+    ASSERT_TRUE(c.plan.has_value());
+    EXPECT_EQ(c.plan->name, "sequential");
+    EXPECT_TRUE(c.completed);
+    EXPECT_EQ(c.traversal->links, direct_trav.links);
+    EXPECT_EQ(c.traversal->almost_sat_graphs, direct_trav.almost_sat_graphs);
+    EXPECT_EQ(c.traversal->local_stats.adjacency_tests,
+              direct_trav.local_stats.adjacency_tests);
+  }
+}
+
+TEST(ComponentPlan, OneSurvivingComponentReusesThePeelSequentially) {
+  // Safe thresholds, but the core is one component: large-mbp runs once
+  // on the plan's core, counter for counter like an engine that peels
+  // for itself.
+  const BipartiteGraph g = MakeRandomGraph({11, 11, 0.6, 95});
+  LargeMbpOptions opts;
+  opts.theta_left = 3;
+  opts.theta_right = 3;
+  const LargeMbpStats direct =
+      LargeMbpEngine(g, opts).Run([](const Biplex&) { return true; });
+  ASSERT_GT(direct.traversal.links, 0u);
+  QuerySession session(PreparedGraph::Borrow(g));
+  EnumerateRequest req;
+  req.algorithm = "large-mbp";
+  req.theta_left = 3;
+  req.theta_right = 3;
+  EnumerateStats s;
+  EXPECT_EQ(session.Count(req, &s), direct.traversal.solutions_emitted);
+  ASSERT_TRUE(s.ok() && s.large_mbp.has_value()) << s.error;
+  ASSERT_TRUE(s.plan.has_value());
+  EXPECT_EQ(s.plan->name, "sequential");
+  EXPECT_EQ(s.large_mbp->core_left, direct.core_left);
+  EXPECT_EQ(s.large_mbp->core_right, direct.core_right);
+  EXPECT_EQ(s.large_mbp->traversal.links, direct.traversal.links);
+  EXPECT_EQ(s.large_mbp->traversal.almost_sat_graphs,
+            direct.traversal.almost_sat_graphs);
+  EXPECT_EQ(s.large_mbp->traversal.candidates_generated,
+            direct.traversal.candidates_generated);
+  EXPECT_EQ(s.large_mbp->traversal.local_stats.adjacency_tests,
+            direct.traversal.local_stats.adjacency_tests);
+}
+
+TEST(ComponentPlan, ThreadsOneAcceptsASinkThatIsNotThreadCompatible) {
+  // threads = 1 runs the shards inline on the calling thread, so the
+  // sink contract of a sequential run still holds.
+  const BipartiteGraph g = BlocksOnABase();
+  QuerySession session(PreparedGraph::Borrow(g));
+  EnumerateRequest req;
+  req.algorithm = "large-mbp";
+  req.theta_left = 4;
+  req.theta_right = 4;
+  std::vector<Biplex> got;
+  CallbackSink collect(
+      [&](const Biplex& b) {
+        got.push_back(b);
+        return true;
+      },
+      /*thread_compatible=*/false);
+  EnumerateStats stats = session.Run(req, &collect);
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  ASSERT_TRUE(stats.plan.has_value());
+  EXPECT_EQ(stats.plan->name, "components");
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, FilterBySize(BruteForceMaximalBiplexes(g, 1), 4, 4));
+  CallbackSink thread_affine([](const Biplex&) { return true; },
+                             /*thread_compatible=*/false);
+  EXPECT_TRUE(session.Run(req, &thread_affine).ok());
+  req.threads = 2;  // the same sink is refused wherever workers may call
+  EXPECT_FALSE(session.Run(req, &thread_affine).ok());
 }
 
 // --------------------------------------------------------- SortingSink ---

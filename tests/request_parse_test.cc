@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/enumerate_stats.h"
 #include "api/request_parse.h"
 #include "serve/wire.h"
 #include "util/json_value.h"
@@ -183,6 +184,27 @@ TEST(WireCommandTest, ResponseLinesAreWellFormedJson) {
   r = json::Parse(serve::DoneLine("7", "{\"solutions\":3}"));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value.Find("stats")->Find("solutions")->AsNumber(), 3);
+
+  // The done line carries the execution plan under the additive
+  // "phases" object: {"plan":{"name","shards"}}.
+  EnumerateStats stats;
+  stats.algorithm = "large-mbp";
+  stats.plan = ExecutionPlan{"components", 8};
+  r = json::Parse(serve::DoneLine("7", stats.ToJson()));
+  ASSERT_TRUE(r.ok()) << r.error;
+  const json::JsonValue* phases = r.value.Find("stats")->Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_EQ(phases->AsObject().size(), 1u);
+  const json::JsonValue* plan = phases->Find("plan");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->AsObject().size(), 2u);
+  EXPECT_EQ(plan->Find("name")->AsString(), "components");
+  EXPECT_EQ(plan->Find("shards")->AsNumber(), 8);
+  // No backend ran, no plan: the key is absent, not null.
+  stats.plan.reset();
+  r = json::Parse(serve::DoneLine("7", stats.ToJson()));
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.value.Find("stats")->Find("phases"), nullptr);
 }
 
 }  // namespace

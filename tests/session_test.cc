@@ -56,51 +56,20 @@ TEST(PreparedGraphTest, ArtifactsBuildLazilyAndOnce) {
   prepared->ExecutionGraph();
   prepared->ExecutionGraph();
   prepared->Components();
-  prepared->ComponentSubgraphs();
-  prepared->ComponentSubgraphs();
+  prepared->Components();
   prepared->MaxUniformCore();
   prepared->MaxUniformCore();
 
   PrepareArtifactStats after = prepared->artifact_stats();
   EXPECT_EQ(after.execution_graph_builds, 1);
   EXPECT_EQ(after.component_builds, 1);
-  EXPECT_EQ(after.component_subgraph_builds, 1);
   EXPECT_EQ(after.core_bound_builds, 1);
 }
 
-TEST(PreparedGraphTest, ComponentSubgraphsAlignWithTheLabeling) {
-  // Two disjoint bicliques plus an isolated vertex on each side: four
-  // components in total.
-  BipartiteGraph g = MakeGraph(5, 5,
-                               {{0, 0}, {0, 1}, {1, 0}, {1, 1},  // block A
-                                {2, 2}, {2, 3}, {3, 2}, {3, 3}});  // block B
-  auto prepared = PreparedGraph::Prepare(std::move(g));
-  const ComponentLabeling& labels = prepared->Components();
-  const std::vector<InducedSubgraph>& comps = prepared->ComponentSubgraphs();
-  ASSERT_EQ(static_cast<int>(comps.size()), labels.num_components);
-  ASSERT_EQ(labels.num_components, 4);
-  // Index alignment: every vertex of component c's subgraph maps back to a
-  // parent vertex labeled c, and every parent vertex appears exactly once.
-  size_t total_left = 0;
-  size_t total_right = 0;
-  for (size_t c = 0; c < comps.size(); ++c) {
-    for (VertexId v : comps[c].left_map) {
-      EXPECT_EQ(labels.left[v], static_cast<int>(c));
-    }
-    for (VertexId u : comps[c].right_map) {
-      EXPECT_EQ(labels.right[u], static_cast<int>(c));
-    }
-    total_left += comps[c].left_map.size();
-    total_right += comps[c].right_map.size();
-  }
-  EXPECT_EQ(total_left, prepared->graph().NumLeft());
-  EXPECT_EQ(total_right, prepared->graph().NumRight());
-}
-
-TEST(PreparedGraphTest, ComponentShardedQueriesReuseTheSubgraphCache) {
+TEST(PreparedGraphTest, ComponentPlanRepeatsAcrossQueriesAndThreadCounts) {
   // Two components big enough to shard; thresholds satisfy the sharding
-  // safety condition (theta > 2k), so parallel runs take the component
-  // plan and hit the cache.
+  // safety condition (theta > 2k), so every run takes the component plan
+  // — threads = 1 included — and repeats the same shards and work.
   BipartiteGraph g = MakeGraph(
       6, 6, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2},
              {2, 0}, {2, 1}, {2, 2},  // component A: 3x3 biclique
@@ -115,7 +84,11 @@ TEST(PreparedGraphTest, ComponentShardedQueriesReuseTheSubgraphCache) {
   CollectingSink sequential;
   EnumerateStats seq_stats = session.Run(seq, &sequential);
   ASSERT_TRUE(seq_stats.ok()) << seq_stats.error;
+  ASSERT_TRUE(seq_stats.plan.has_value());
+  EXPECT_EQ(seq_stats.plan->name, "components");
+  EXPECT_EQ(seq_stats.plan->shards, 2u);
   const std::vector<Biplex> expected = sequential.Take();
+  ASSERT_EQ(expected.size(), 2u);
 
   EnumerateRequest par = seq;
   par.threads = 2;
@@ -124,9 +97,10 @@ TEST(PreparedGraphTest, ComponentShardedQueriesReuseTheSubgraphCache) {
     EnumerateStats par_stats = session.Run(par, &parallel);
     ASSERT_TRUE(par_stats.ok()) << par_stats.error;
     EXPECT_EQ(parallel.Take(), expected);
+    EXPECT_EQ(par_stats.work_units, seq_stats.work_units);
+    ASSERT_TRUE(par_stats.plan.has_value());
+    EXPECT_EQ(par_stats.plan->shards, 2u);
   }
-  // All three parallel rounds shared one materialization.
-  EXPECT_EQ(prepared->artifact_stats().component_subgraph_builds, 1);
 }
 
 TEST(PreparedGraphTest, ArtifactsBuildOnceUnderConcurrentSessions) {
@@ -405,10 +379,11 @@ TEST(EnumerateShim, JsonStatsSchemaUnchanged) {
   EnumerateStats shim = Enumerate(g, req, &sink);
   ASSERT_TRUE(shim.ok());
 
-  // The shim's top-level JSON keys are exactly the pre-session schema.
+  // The shim's top-level JSON keys are exactly the pre-session schema
+  // plus the additive "phases" object carrying the execution plan.
   const std::set<std::string> expect = {
-      "algorithm", "solutions",     "work_units", "completed",
-      "cancelled", "out_of_memory", "seconds",    "traversal"};
+      "algorithm",     "solutions", "work_units", "completed", "cancelled",
+      "out_of_memory", "seconds",   "traversal",  "phases"};
   EXPECT_EQ(TopLevelJsonKeys(shim.ToJson()), expect);
 
   // And a session run over the same request emits the same schema.
