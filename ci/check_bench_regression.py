@@ -20,6 +20,11 @@ bench — cannot regress, skipped), or the previous version exists but does
 not parse as JSON (also skipped, but called out loudly so a corrupted
 baseline never silently disables the gate).
 
+Each file's verdict names both hosts when its `host` block (the machine
+fields BenchJsonWriter stamps; `git_sha` names the code, not the machine)
+differs from the one at HEAD~1, so a reviewer can tell a machine change
+from a code change. The hosts are printed only; they change no verdict.
+
 `--list` prints every tracked BENCH_*.json with its record count and
 baseline status, without comparing anything; the CI job logs it first so
 a "no perf regressions" verdict always shows what was actually checked.
@@ -72,6 +77,19 @@ def duplicate_names(doc):
     counts = collections.Counter(
         r["name"] for r in doc.get("records", []) if "name" in r)
     return sorted(n for n, c in counts.items() if c > 1)
+
+
+def machine(doc):
+    """The host block without git_sha, or None when the file has none."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return None
+    return {k: v for k, v in host.items() if k != "git_sha"}
+
+
+def describe_host(doc):
+    host = doc.get("host")
+    return json.dumps(host, sort_keys=True) if host else "no host block"
 
 
 def ratio_regressed(old, new, direction):
@@ -127,6 +145,9 @@ def check_file(path):
                         f"{new_counters[counter]:.4g}")
     status = "OK" if not regressions else f"{len(regressions)} regression(s)"
     print(f"  {path}: {len(new_records)} records, {status}")
+    if machine(old_doc) != machine(new_doc):
+        print(f"    host changed; HEAD~1: {describe_host(old_doc)}")
+        print(f"                  HEAD:   {describe_host(new_doc)}")
     return regressions
 
 

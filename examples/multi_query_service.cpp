@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   prep.adjacency_index = AdjacencyAccelMode::kForce;
   prep.renumber = true;
   auto prepared = PreparedGraph::Prepare(std::move(g), prep);
-  prepared->Warmup();  // build all artifacts now instead of on first query
+  prepared->Warmup();  // build the query artifacts now, not on first query
   std::cout << "Prepared: core bound = " << prepared->MaxUniformCore()
             << ", components = " << prepared->Components().num_components
             << ", artifact build time = "

@@ -4,7 +4,7 @@
 
 #include "analysis/biclique.h"
 #include "analysis/quasi_biclique.h"
-#include "core/large_mbp.h"
+#include "api/enumerator.h"
 #include "graph/core_decomposition.h"
 
 namespace kbiplex {
@@ -99,16 +99,18 @@ DetectionResult DetectByBiplex(const FraudDataset& data, int k,
                                size_t theta_l, size_t theta_r,
                                const DetectorBudget& budget) {
   DetectionResult out = MakeResult(data);
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(k);
-  opts.theta_left = theta_l;
-  opts.theta_right = theta_r;
-  opts.max_results = budget.max_results;
-  opts.time_budget_seconds = budget.time_budget_seconds;
-  LargeMbpEngine(data.graph, opts).Run([&](const Biplex& b) {
+  EnumerateRequest req;
+  req.algorithm = "large-mbp";
+  req.k = KPair::Uniform(k);
+  req.theta_left = theta_l;
+  req.theta_right = theta_r;
+  req.max_results = budget.max_results;
+  req.time_budget_seconds = budget.time_budget_seconds;
+  CallbackSink sink([&](const Biplex& b) {
     FlagBiplex(b, &out);
     return true;
   });
+  Enumerate(data.graph, req, &sink);
   return out;
 }
 

@@ -13,10 +13,19 @@
 
 #include "baselines/imb.h"
 #include "baselines/inflation_enum.h"
-#include "core/large_mbp.h"
 #include "core/traversal_options.h"
 
 namespace kbiplex {
+
+/// Detail block of a large-mbp run: the traversal counters plus the
+/// vertices of the graph it traversed, i.e. of the request's
+/// (theta_right - k.left, theta_left - k.right)-core or, summed over
+/// shards, of the core's kept components (api/parallel_driver.h).
+struct LargeMbpStats {
+  TraversalStats traversal;
+  size_t core_left = 0;
+  size_t core_right = 0;
+};
 
 /// The execution plan a run took (api/parallel_driver.h).
 struct ExecutionPlan {

@@ -14,7 +14,6 @@
 #include "baselines/inflation_enum.h"
 #include "core/brute_force.h"
 #include "core/btraversal.h"
-#include "core/large_mbp.h"
 #include "util/timer.h"
 
 namespace kbiplex {
@@ -198,37 +197,26 @@ class TraversalBackend final : public AlgorithmBackend {
 
 // ------------------------------------------------------------- large-mbp --
 
+/// iTraversal with the request's thresholds driving the Section 5 prunes,
+/// on the graph the execution plan handed it (already peeled to the
+/// request's core, see api/parallel_driver.h). Takes no backend option;
+/// reports the traversal counters and that graph's size in the large_mbp
+/// block.
 class LargeMbpBackend final : public AlgorithmBackend {
  public:
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
-    LargeMbpOptions opts;
-    opts.scratch = ctx.scratch;
-    opts.k = req.k;
-    opts.theta_left = req.theta_left;
-    opts.theta_right = req.theta_right;
-    opts.max_results = req.max_results;
-    opts.time_budget_seconds = req.time_budget_seconds;
-    opts.cancel = req.cancellation;
-    opts.core = ctx.core;
-
-    OptionReader reader(req.backend_options);
-    reader.TakeBool("core_reduction", &opts.core_reduction);
-    if (std::string err = reader.Finish(); !err.empty()) {
+    if (std::string err = OptionReader(req.backend_options).Finish();
+        !err.empty()) {
       return Rejected(std::move(err));
     }
-
-    Delivery delivery{req, sink};
-    LargeMbpStats ls = LargeMbpEngine(g, opts).Run(
-        [&](const Biplex& b) { return delivery.Deliver(b); });
-
-    EnumerateStats out;
-    out.solutions = delivery.delivered;
-    out.work_units = ls.traversal.links;
-    out.completed = ls.completed;
-    out.seconds = ls.seconds;
-    out.large_mbp = ls;
+    EnumerateStats out =
+        TraversalBackend(MakeITraversalOptions(1)).Run(ctx, req, sink);
+    if (out.traversal.has_value()) {
+      const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+      out.large_mbp = LargeMbpStats{*out.traversal, g.NumLeft(), g.NumRight()};
+      out.traversal.reset();
+    }
     return out;
   }
 };
@@ -375,8 +363,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry* registry) {
             MakeBTraversalOptions(1));
   registry->Register(
       AlgorithmInfo{.name = "large-mbp",
-                    .summary = "Section 5 large-MBP enumeration with "
-                               "(theta-k)-core pre-reduction",
+                    .summary = "Section 5 large-MBP enumeration on the "
+                               "(theta-k)-core",
                     .requires_theta = true},
       [] { return std::make_unique<LargeMbpBackend>(); });
   registry->Register(

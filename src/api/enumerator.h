@@ -19,8 +19,8 @@
 //   itraversal-es     iTraversal without the exclusion strategy
 //   itraversal-es-rs  left-anchored traversal only
 //   btraversal        conventional reverse search (Algorithm 1)
-//   large-mbp         Section 5 large-MBP enumeration with      theta >= 1
-//                     (θ−k)-core pre-reduction
+//   large-mbp         Section 5 large-MBP enumeration on the    theta >= 1
+//                     (θ−k)-core the execution plan peeled
 //   imb               iMB-style set enumeration baseline        uniform k
 //   inflation         FaPlexen-style graph-inflation baseline   uniform k
 //   brute-force       exhaustive reference enumerator           sides <= 20
@@ -33,7 +33,6 @@
 //                     "local_l"                  l10 | l20
 //                     "local_r"                  r10 | r20
 //                     "polynomial_delay_output"  true | false
-//   large-mbp:        "core_reduction"           true | false
 //   inflation:        "max_inflated_edges"       <N>  (0 = no guard)
 //
 // The traversal engines have one Step-1 candidate generator: incremental

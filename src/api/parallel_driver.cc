@@ -194,8 +194,6 @@ EnumerateStats MergeShardStats(std::vector<EnumerateStats> shards) {
       MergeInto(&l.traversal, s.large_mbp->traversal);
       l.core_left += s.large_mbp->core_left;
       l.core_right += s.large_mbp->core_right;
-      l.completed = l.completed && s.large_mbp->completed;
-      l.seconds += s.large_mbp->seconds;
     }
     if (s.imb.has_value()) {
       if (!out.imb.has_value()) out.imb.emplace();
@@ -357,41 +355,52 @@ class MappingSink final : public SolutionSink {
   const InducedSubgraph& component_;
 };
 
-/// True iff the request may take the component plan: solutions provably
-/// never span two components, and no per-enumeration budget would turn
-/// into a per-shard one if copied into every shard. max_links is an
-/// engine-internal work counter with no cross-engine accounting hook, and
-/// the inflation baseline's max_inflated_edges is a memory guard: copying
-/// either would let a truncated or OUT run "complete" when sharded.
-bool ComponentPlanApplies(const EnumerateRequest& request,
-                          const AlgorithmInfo& info) {
-  return info.name != "brute-force" && info.name != "imb" &&
-         ComponentShardingIsSafe(request.k, request.theta_left,
+/// True iff the peeled core may be split into components: solutions
+/// provably never span two components, and no per-enumeration budget
+/// would turn into a per-shard one if copied into every shard. max_links
+/// is an engine-internal work counter with no cross-engine accounting
+/// hook, and the inflation baseline's max_inflated_edges is a memory
+/// guard: copying either would let a truncated or OUT run "complete" when
+/// sharded.
+bool SplitApplies(const EnumerateRequest& request, const AlgorithmInfo& info) {
+  return ComponentShardingIsSafe(request.k, request.theta_left,
                                  request.theta_right) &&
          request.max_links == 0 &&
          !(info.name == "inflation" &&
            request.backend_options.count("max_inflated_edges") != 0);
 }
 
-/// Split: the peeled core's connected components that can host a
-/// deliverable solution, with id maps composed back to execution-graph
-/// ids, largest first (a fixed order, so a straggler starts early).
-std::vector<InducedSubgraph> SplitCore(const InducedSubgraph& core,
-                                       const EnumerateRequest& request) {
+/// Peel and split: the shards of the request (see the header), with id
+/// maps back to execution-graph ids, largest first (a fixed order, so a
+/// straggler starts early). Empty when the backend should run on `g`
+/// itself: no peel applies, or the one shard kept every vertex.
+std::vector<InducedSubgraph> PeelAndSplit(const BipartiteGraph& g,
+                                          const EnumerateRequest& request,
+                                          const AlgorithmInfo& info) {
+  const CoreDegrees d = RequestCoreDegrees(request);
+  if (d.alpha == 0 && d.beta == 0) return {};
+  InducedSubgraph core = AlphaBetaCoreSubgraph(g, d.alpha, d.beta);
   std::vector<InducedSubgraph> shards;
-  for (InducedSubgraph& c : ConnectedComponents(core.graph)) {
-    if (c.graph.NumLeft() < request.theta_left ||
-        c.graph.NumRight() < request.theta_right) {
-      continue;
+  if (SplitApplies(request, info)) {
+    for (InducedSubgraph& c : ConnectedComponents(core.graph)) {
+      if (c.graph.NumLeft() < request.theta_left ||
+          c.graph.NumRight() < request.theta_right) {
+        continue;
+      }
+      for (VertexId& v : c.left_map) v = core.left_map[v];
+      for (VertexId& u : c.right_map) u = core.right_map[u];
+      shards.push_back(std::move(c));
     }
-    for (VertexId& v : c.left_map) v = core.left_map[v];
-    for (VertexId& u : c.right_map) u = core.right_map[u];
-    shards.push_back(std::move(c));
+    std::stable_sort(shards.begin(), shards.end(),
+                     [](const InducedSubgraph& a, const InducedSubgraph& b) {
+                       return a.graph.NumEdges() > b.graph.NumEdges();
+                     });
   }
-  std::stable_sort(shards.begin(), shards.end(),
-                   [](const InducedSubgraph& a, const InducedSubgraph& b) {
-                     return a.graph.NumEdges() > b.graph.NumEdges();
-                   });
+  if (shards.empty()) shards.push_back(std::move(core));
+  if (shards.size() == 1 && shards[0].graph.NumLeft() == g.NumLeft() &&
+      shards[0].graph.NumRight() == g.NumRight()) {
+    return {};
+  }
   return shards;
 }
 
@@ -408,7 +417,8 @@ EnumerateStats RunComponents(const QueryContext& ctx,
   SharedDelivery delivery(request, sink, &stop);
   ErrorCollector errors;
   std::vector<EnumerateStats> shard_stats(shards.size());
-  RunShards(threads, shards.size(), &errors, [&](size_t i) {
+  const size_t workers = std::min(threads, shards.size());
+  RunShards(workers, shards.size(), &errors, [&](size_t i) {
     EnumerateRequest shard_request = request;
     shard_request.cancellation = &stop;
     shard_request.threads = 1;
@@ -425,7 +435,7 @@ EnumerateStats RunComponents(const QueryContext& ctx,
     std::shared_ptr<const PreparedGraph> shard_prepared =
         PreparedGraph::Borrow(shards[i].graph);
     QueryContext shard_ctx{shard_prepared.get(),
-                           threads < 2 ? ctx.scratch : nullptr};
+                           workers < 2 ? ctx.scratch : nullptr};
     shard_stats[i] =
         registry.Create(info.name)->Run(shard_ctx, shard_request, &mapping);
     if (!shard_stats[i].error.empty()) {
@@ -440,7 +450,8 @@ EnumerateStats RunComponents(const QueryContext& ctx,
   EnumerateStats out = MergeShardStats(std::move(shard_stats));
   out.solutions = delivery.delivered();
   out.seconds = timer.ElapsedSeconds();
-  out.plan = ExecutionPlan{"components", shards.size()};
+  out.plan = ExecutionPlan{shards.size() == 1 ? "sequential" : "components",
+                           shards.size()};
   return out;
 }
 
@@ -454,6 +465,15 @@ size_t ResolveThreadCount(int threads) {
   constexpr size_t kMaxThreads = 256;
   if (threads <= 0) return std::min(ThreadPool::HardwareThreads(), kMaxThreads);
   return std::min(static_cast<size_t>(threads), kMaxThreads);
+}
+
+CoreDegrees RequestCoreDegrees(const EnumerateRequest& request) {
+  const size_t kl = static_cast<size_t>(request.k.left);
+  const size_t kr = static_cast<size_t>(request.k.right);
+  CoreDegrees d;
+  if (request.theta_right > kl) d.alpha = request.theta_right - kl;
+  if (request.theta_left > kr) d.beta = request.theta_left - kr;
+  return d;
 }
 
 bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right) {
@@ -495,23 +515,16 @@ EnumerateStats RunPlan(const QueryContext& ctx,
     return RunRoots(g, request, threads, sink);
   }
   WallTimer timer;
-  QueryContext seq_ctx = ctx;
-  InducedSubgraph core;
-  if (ComponentPlanApplies(request, info)) {
-    // Peel: every solution lies in this core (see LargeMbpEngine), and by
-    // the safety condition none spans two of its components.
-    core = AlphaBetaCoreSubgraph(
-        g, request.theta_right - static_cast<size_t>(request.k.left),
-        request.theta_left - static_cast<size_t>(request.k.right));
-    const std::vector<InducedSubgraph> shards = SplitCore(core, request);
-    if (shards.size() >= 2) {
+  if (info.name != "brute-force" && info.name != "imb") {
+    const std::vector<InducedSubgraph> shards =
+        PeelAndSplit(g, request, info);
+    if (!shards.empty()) {
       return RunComponents(ctx, shards, request, registry, info, threads,
                            timer, sink);
     }
-    seq_ctx.core = &core;
   }
   const double peel_seconds = timer.ElapsedSeconds();
-  EnumerateStats out = registry.Create(info.name)->Run(seq_ctx, request, sink);
+  EnumerateStats out = registry.Create(info.name)->Run(ctx, request, sink);
   out.seconds += peel_seconds;
   if (out.ok()) out.plan = ExecutionPlan{"sequential", 1};
   return out;

@@ -9,28 +9,32 @@
 //   roots       imb at threads >= 2: the top-level branches of the
 //               set-enumeration tree are independent, so a partition of
 //               them across workers is disjoint and complete.
-//   components  everything else (traversal family, large-mbp, inflation)
+//   components, sequential
+//               everything else (traversal family, large-mbp, inflation)
 //               at every thread count, in three steps. Peel: reduce the
 //               execution graph to the request's
 //               (theta_right - k.left, theta_left - k.right)-core, which
-//               holds every solution. Split: label the core's connected
-//               components and keep those with >= theta_left left and
-//               >= theta_right right vertices. Enumerate: run the backend
-//               on each kept component. Only when the thresholds exclude
-//               solutions spanning components (ComponentShardingIsSafe),
-//               the request has no max_links and no inflation
-//               max_inflated_edges, and at least two components are kept.
-//               threads = 1 runs the shards inline on the calling thread
-//               in a fixed order (no pool, so any sink is accepted);
-//               threads >= 2 runs them on min(threads, shards) workers.
+//               holds every deliverable solution, each maximal there iff
+//               maximal in the graph (Sections 5 and 6.1). Split: when
+//               ComponentShardingIsSafe holds, the request has no
+//               max_links and no inflation max_inflated_edges, the shards
+//               are the core's connected components with >= theta_left
+//               left and >= theta_right right vertices; otherwise, or
+//               when no component is kept, the core is the one shard.
+//               Enumerate: run the backend on each shard, "components"
+//               for two or more, "sequential" for one. threads = 1 and a
+//               single shard run inline on the calling thread in a fixed
+//               order (no pool, so any sink is accepted, with the session
+//               scratch); otherwise min(threads, shards) workers run them.
 //               Either way the shards and their work counters are the
 //               same. One component is never split further: dividing its
 //               solution graph across workers would switch off the
 //               exclusion prune (Section 3.5).
-//   sequential  otherwise: the backend runs once on the execution graph,
-//               with the attached index and the session scratch. A
-//               large-mbp run reuses the plan's peel instead of peeling
-//               again.
+//
+// brute-force and imb at threads = 1, a request with no peel (theta <= k
+// on both sides) and one whose single shard kept every vertex run the
+// backend once on the execution graph itself, with the attached index and
+// the session scratch (plan "sequential").
 //
 // Global budgets stay global: shards share one delivery point guarding
 // the caller's sink with a mutex and counting delivered solutions
@@ -61,6 +65,16 @@ size_t ResolveThreadCount(int threads);
 /// edges form one maximal 1-biplex — so this is a real restriction, not
 /// an optimization detail).
 bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
+
+/// The per-side degree demands of the request's thresholds: a left member
+/// of a k-biplex with |R'| >= theta_right has >= theta_right - k.left
+/// neighbors in it (alpha), a right member >= theta_left - k.right
+/// (beta); each is 0 when its threshold does not exceed the budget.
+struct CoreDegrees {
+  size_t alpha = 0;
+  size_t beta = 0;
+};
+CoreDegrees RequestCoreDegrees(const EnumerateRequest& request);
 
 /// Runs `request` against `ctx.prepared->ExecutionGraph()` under the plan
 /// chosen above and records it in the result's `plan`. Solutions are

@@ -163,7 +163,6 @@ size_t PreparedGraph::MaxUniformCore() const {
 
 void PreparedGraph::Warmup() const {
   ExecutionGraph();
-  Components();
   MaxUniformCore();
 }
 

@@ -1,10 +1,10 @@
 // The "prepare" half of the prepare/execute API: an immutable, shareable
 // PreparedGraph owns a loaded BipartiteGraph plus the expensive
-// preprocessing artifacts every query over that graph wants — the hybrid
-// bitset adjacency index, the degeneracy renumbering (solutions are mapped
-// back to input ids automatically), the connected-component labeling, and
-// a core-decomposition bound that lets
-// provably-empty queries answer instantly. Artifacts are built lazily, at
+// preprocessing artifacts its queries read — the hybrid bitset adjacency
+// index, the degeneracy renumbering (solutions are mapped back to input
+// ids automatically) and a core-decomposition bound that lets
+// provably-empty queries answer instantly — plus a connected-component
+// labeling for callers that ask for it. Artifacts are built lazily, at
 // most once, and are safe to consume from any number of concurrent
 // QuerySessions (api/query_session.h):
 //
@@ -192,7 +192,9 @@ class PreparedGraph {
   /// such queries instantly. Built on first call, then cached.
   size_t MaxUniformCore() const;
 
-  /// Builds every artifact now (prepare-heavy, execute-light servers).
+  /// Builds every artifact a query reads now (prepare-heavy,
+  /// execute-light servers): the execution graph and the core bound, not
+  /// the component labeling, which no query path reads.
   void Warmup() const;
 
   /// Snapshot of the artifact build counters.

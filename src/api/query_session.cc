@@ -43,20 +43,14 @@ class MapBackSink final : public SolutionSink {
 };
 
 /// True iff the cached (a,a)-core bound proves the request's result set
-/// empty: a solution with |L'| >= theta_left and |R'| >= theta_right keeps
-/// every left vertex at degree >= theta_right - k.left and every right
-/// vertex at degree >= theta_left - k.right, so it lies inside the
-/// corresponding (α,β)-core — which is empty whenever min(α,β) exceeds
-/// the largest non-empty uniform core.
+/// empty: every solution lies inside the request's (α,β)-core
+/// (internal::RequestCoreDegrees), which is empty whenever min(α,β)
+/// exceeds the largest non-empty uniform core.
 bool CoreBoundProvesEmpty(const PreparedGraph& prepared,
                           const EnumerateRequest& request) {
-  if (request.theta_left == 0 || request.theta_right == 0) return false;
-  const size_t kl = static_cast<size_t>(request.k.left);
-  const size_t kr = static_cast<size_t>(request.k.right);
-  if (request.theta_right <= kl || request.theta_left <= kr) return false;
-  const size_t alpha = request.theta_right - kl;  // left-side degree demand
-  const size_t beta = request.theta_left - kr;    // right-side degree demand
-  return std::min(alpha, beta) > prepared.MaxUniformCore();
+  const internal::CoreDegrees d = internal::RequestCoreDegrees(request);
+  const size_t demand = std::min(d.alpha, d.beta);
+  return demand != 0 && demand > prepared.MaxUniformCore();
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "api/enumerate_request.h"
 #include "api/enumerate_stats.h"
 #include "api/solution_sink.h"
-#include "graph/bipartite_graph.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -36,11 +35,6 @@ struct QueryContext {
   /// Cross-query scratch of the owning session, or null (per-run scratch).
   /// Never shared between concurrently running backends.
   TraversalScratch* scratch = nullptr;
-  /// The request's (theta_right - k.left, theta_left - k.right)-core of
-  /// the execution graph when the execution plan already peeled it (ids
-  /// map to execution-graph ids), else null. large-mbp traverses it
-  /// instead of peeling again.
-  const InducedSubgraph* core = nullptr;
 };
 
 /// One enumeration backend behind the unified API. Implementations apply

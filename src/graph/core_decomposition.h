@@ -1,6 +1,7 @@
 // (α,β)-core computation on bipartite graphs. Used both as a baseline
 // cohesive structure in the fraud-detection case study (Section 6.3) and as
-// the (θ−k)-core pre-reduction for large-MBP enumeration (Section 6.1).
+// the (θ−k)-core pre-reduction of every thresholded query (Section 6.1),
+// which the execution plan owns (api/parallel_driver.h).
 #ifndef KBIPLEX_GRAPH_CORE_DECOMPOSITION_H_
 #define KBIPLEX_GRAPH_CORE_DECOMPOSITION_H_
 

@@ -267,15 +267,18 @@ TEST(Validation, UnknownBackendOptionRejected) {
     const char* key;
     const char* value;
   };
-  // The engine's acceleration (2-hop generator, adjacency index) is not a
-  // per-request option, so its old keys are unknown too.
+  // The engine's acceleration (2-hop generator, adjacency index) and the
+  // core peel (the execution plan's, for every backend) are not
+  // per-request options, so their old keys are unknown too.
   for (const Input& in : {Input{"itraversal", "warp_speed", "9"},
                           Input{"itraversal", "candidate_gen", "scan"},
                           Input{"itraversal", "adjacency_index", "off"},
                           Input{"itraversal", "accel_budget", "4096"},
                           Input{"large-mbp", "candidate_gen", "scan"},
                           Input{"large-mbp", "adjacency_index", "off"},
-                          Input{"large-mbp", "accel_budget", "4096"}}) {
+                          Input{"large-mbp", "accel_budget", "4096"},
+                          Input{"large-mbp", "core_reduction", "false"},
+                          Input{"large-mbp", "anchored_side", "left"}}) {
     EnumerateRequest req;
     req.algorithm = in.algorithm;
     req.theta_left = req.theta_right = 1;

@@ -8,7 +8,6 @@
 #include "core/brute_force.h"
 #include "core/btraversal.h"
 #include "core/enum_almost_sat.h"
-#include "core/large_mbp.h"
 #include "graph/generators.h"
 #include "test_support.h"
 #include "util/random.h"
@@ -16,8 +15,8 @@
 namespace kbiplex {
 namespace {
 
+using testing_support::CollectLarge;
 using testing_support::CollectWith;
-using testing_support::CollectLargeWith;
 using testing_support::MakeGraph;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
@@ -144,11 +143,7 @@ TEST(AsymmetricLargeMbp, MatchesFilteredOracle) {
   for (uint64_t seed : {11u, 12u}) {
     auto g = MakeRandomGraph({6, 6, 0.55, seed});
     const KPair k{2, 1};
-    LargeMbpOptions opts;
-    opts.k = k;
-    opts.theta_left = 2;
-    opts.theta_right = 2;
-    auto got = CollectLargeWith(g, opts);
+    auto got = CollectLarge(g, k, 2, 2);
     auto expect =
         FilterBySize(BruteForceMaximalBiplexes(g, k), 2, 2);
     ASSERT_EQ(got, expect) << "seed=" << seed;

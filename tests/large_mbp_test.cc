@@ -4,16 +4,16 @@
 
 #include "core/brute_force.h"
 #include "core/btraversal.h"
-#include "core/large_mbp.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "test_support.h"
 #include "util/random.h"
 
 namespace kbiplex {
 namespace {
 
+using testing_support::CollectLarge;
 using testing_support::CollectWith;
-using testing_support::CollectLargeWith;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
 
@@ -28,16 +28,17 @@ TEST_P(LargeMbpSweep, MatchesFilteredBruteForce) {
   auto g = MakeRandomGraph({6, 6, 0.55, seed * 5 + 1});
   const auto expect =
       FilterBySize(BruteForceMaximalBiplexes(g, k), theta_l, theta_r);
-  for (bool core_reduction : {false, true}) {
-    LargeMbpOptions opts;
-    opts.k = KPair::Uniform(k);
-    opts.theta_left = theta_l;
-    opts.theta_right = theta_r;
-    opts.core_reduction = core_reduction;
-    auto got = CollectLargeWith(g, opts);
+  // Unpeeled: the traversal engine's Section 5 prunes on the whole graph.
+  TraversalOptions opts = MakeITraversalOptions(k);
+  opts.theta_left = theta_l;
+  opts.theta_right = theta_r;
+  // Peeled: the large-mbp backend on the plan's (theta-k)-core.
+  for (const auto& got : {CollectWith(g, opts),
+                          CollectLarge(g, KPair::Uniform(k), theta_l,
+                                       theta_r)}) {
     ASSERT_EQ(got, expect)
         << "k=" << k << " theta=(" << theta_l << "," << theta_r
-        << ") seed=" << seed << " core=" << core_reduction << "\ngot:\n"
+        << ") seed=" << seed << "\ngot:\n"
         << ToString(got) << "want:\n"
         << ToString(expect);
   }
@@ -53,15 +54,12 @@ TEST(LargeMbp, CoreReductionShrinksGraph) {
   Rng rng(9);
   auto base = ErdosRenyiBipartite(40, 40, 60, &rng);
   auto g = PlantDenseBlock(base, 6, 6, 1.0, &rng);
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(1);
-  opts.theta_left = 5;
-  opts.theta_right = 5;
-  LargeMbpStats stats;
-  auto got = CollectLargeWith(g, opts, &stats);
+  EnumerateStats stats;
+  auto got = CollectLarge(g, KPair::Uniform(1), 5, 5, &stats);
   // The dense block survives; most of the sparse base is peeled away.
-  EXPECT_LT(stats.core_left, g.NumLeft());
-  EXPECT_LT(stats.core_right, g.NumRight());
+  ASSERT_TRUE(stats.large_mbp.has_value()) << stats.error;
+  EXPECT_LT(stats.large_mbp->core_left, g.NumLeft());
+  EXPECT_LT(stats.large_mbp->core_right, g.NumRight());
   // The planted 6x6 complete block is a large MBP (possibly extended).
   ASSERT_FALSE(got.empty());
   bool contains_block = false;
@@ -81,23 +79,14 @@ TEST(LargeMbp, CoreReductionShrinksGraph) {
 TEST(LargeMbp, EmptyResultWhenThresholdTooHigh) {
   Rng rng(10);
   auto g = ErdosRenyiBipartite(15, 15, 30, &rng);
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(1);
-  opts.theta_left = 10;
-  opts.theta_right = 10;
-  auto got = CollectLargeWith(g, opts);
-  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(CollectLarge(g, KPair::Uniform(1), 10, 10).empty());
 }
 
 TEST(LargeMbp, SolutionsKeepOriginalIds) {
   Rng rng(11);
   auto base = ErdosRenyiBipartite(20, 20, 20, &rng);
   auto g = PlantDenseBlock(base, 5, 5, 1.0, &rng);
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(1);
-  opts.theta_left = 4;
-  opts.theta_right = 4;
-  for (const Biplex& b : CollectLargeWith(g, opts)) {
+  for (const Biplex& b : CollectLarge(g, KPair::Uniform(1), 4, 4)) {
     EXPECT_TRUE(IsMaximalKBiplex(g, b, 1)) << ToString(b);
     EXPECT_GE(b.left.size(), 4u);
     EXPECT_GE(b.right.size(), 4u);
@@ -108,32 +97,46 @@ TEST(LargeMbp, PruningDoesLessWorkThanFiltering) {
   Rng rng(12);
   auto base = ErdosRenyiBipartite(20, 20, 60, &rng);
   auto g = PlantDenseBlock(base, 5, 5, 1.0, &rng);
-  // Pruned run.
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(1);
+  // Pruned run on the whole graph, which isolates the Section 5 prunes
+  // from the plan's core peel.
+  TraversalOptions opts = MakeITraversalOptions(1);
   opts.theta_left = 4;
   opts.theta_right = 4;
-  opts.core_reduction = false;  // isolate the Section 5 prunes
-  LargeMbpStats pruned;
-  auto got = CollectLargeWith(g, opts, &pruned);
+  TraversalStats pruned;
+  auto got = CollectWith(g, opts, &pruned);
   // Unpruned full enumeration with post-filtering.
   TraversalOptions full = MakeITraversalOptions(1);
   TraversalStats full_stats;
   auto all = CollectWith(g, full, &full_stats);
   ASSERT_EQ(got, FilterBySize(all, 4, 4));
-  EXPECT_LE(pruned.traversal.links, full_stats.links);
-  EXPECT_LE(pruned.traversal.local_solutions, full_stats.local_solutions);
+  EXPECT_LE(pruned.links, full_stats.links);
+  EXPECT_LE(pruned.local_solutions, full_stats.local_solutions);
 }
 
 TEST(LargeMbp, ThetaOneEqualsFullEnumerationNonEmptySides) {
   auto g = MakeRandomGraph({6, 6, 0.5, 77});
-  LargeMbpOptions opts;
-  opts.k = KPair::Uniform(1);
-  opts.theta_left = 1;
-  opts.theta_right = 1;
-  auto got = CollectLargeWith(g, opts);
+  auto got = CollectLarge(g, KPair::Uniform(1), 1, 1);
   auto expect = FilterBySize(BruteForceMaximalBiplexes(g, 1), 1, 1);
   ASSERT_EQ(got, expect);
+}
+
+TEST(LargeMbp, HonoursMaxLinks) {
+  // The link budget is a request field every traversal backend applies:
+  // large-mbp stops at it exactly like itraversal does.
+  LoadResult loaded = LoadEdgeList(KBIPLEX_SOURCE_DIR "/ci/toy_graph.txt");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  for (const char* name : {"itraversal", "large-mbp"}) {
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 2;
+    req.theta_right = 2;
+    req.max_links = 5;
+    EnumerateStats stats;
+    testing_support::CollectRequest(*loaded.graph, req, &stats);
+    ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
+    EXPECT_FALSE(stats.completed) << name;
+    EXPECT_LE(stats.work_units, 5u) << name;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // solution set for every registered algorithm.
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -19,9 +20,10 @@
 #include "api/solution_sink.h"
 #include "core/brute_force.h"
 #include "core/btraversal.h"
-#include "core/large_mbp.h"
 #include "graph/components.h"
+#include "graph/core_decomposition.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "test_support.h"
 #include "util/json_value.h"
 #include "util/thread_pool.h"
@@ -29,6 +31,8 @@
 namespace kbiplex {
 namespace {
 
+using testing_support::CollectRequest;
+using testing_support::CollectWith;
 using testing_support::MakeGraph;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
@@ -422,12 +426,13 @@ TEST(ComponentPlan, ThreadsOneSplitsThePeeledCoreLikeThreadsFour) {
   ASSERT_GE(expect.size(), 2u);
 
   // The whole-core run the plan replaces: one traversal over all blocks.
-  LargeMbpOptions opts;
+  TraversalOptions opts = MakeITraversalOptions(1);
   opts.theta_left = 4;
   opts.theta_right = 4;
-  const LargeMbpStats whole = LargeMbpEngine(g, opts).Run(
-      [](const Biplex&) { return true; });
-  ASSERT_EQ(whole.traversal.solutions_emitted, expect.size());
+  TraversalStats whole;
+  ASSERT_EQ(CollectWith(AlphaBetaCoreSubgraph(g, 3, 3).graph, opts, &whole)
+                .size(),
+            expect.size());
 
   QuerySession session(PreparedGraph::Borrow(g));
   for (const char* name : {"large-mbp", "itraversal"}) {
@@ -455,16 +460,30 @@ TEST(ComponentPlan, ThreadsOneSplitsThePeeledCoreLikeThreadsFour) {
         four.large_mbp ? four.large_mbp->traversal : *four.traversal;
     EXPECT_EQ(one.work_units, four.work_units) << name;
     EXPECT_EQ(t1.almost_sat_graphs, t4.almost_sat_graphs) << name;
-    if (one.large_mbp) {
-      EXPECT_LT(one.work_units, whole.traversal.links);
-      EXPECT_LT(t1.almost_sat_graphs, whole.traversal.almost_sat_graphs);
-    }
+    EXPECT_LT(one.work_units, whole.links) << name;
+    EXPECT_LT(t1.almost_sat_graphs, whole.almost_sat_graphs) << name;
   }
 }
 
+/// Runs `request` once, at one thread, on the request's (theta - k)-core
+/// of `g` (theta > k on both sides): the direct run a one-shard plan must
+/// equal, counter for counter.
+EnumerateStats DirectCoreRun(const BipartiteGraph& g,
+                             EnumerateRequest request) {
+  const BipartiteGraph core =
+      AlphaBetaCoreSubgraph(
+          g, request.theta_right - static_cast<size_t>(request.k.left),
+          request.theta_left - static_cast<size_t>(request.k.right))
+          .graph;
+  request.threads = 1;
+  EnumerateStats stats;
+  CollectRequest(core, request, &stats);
+  return stats;
+}
+
 TEST(ComponentPlan, UnsafeThresholdsAndLinkBudgetsKeepTheSequentialRun) {
-  // The plan must leave these requests on the sequential engine over the
-  // execution graph, counter for counter.
+  // The plan must run these requests as one shard, the peeled core, and
+  // match a direct run on that core counter for counter.
   const BipartiteGraph g = BlocksOnABase();
   QuerySession session(PreparedGraph::Borrow(g));
 
@@ -472,23 +491,16 @@ TEST(ComponentPlan, UnsafeThresholdsAndLinkBudgetsKeepTheSequentialRun) {
   unsafe.algorithm = "large-mbp";
   unsafe.theta_left = 2;
   unsafe.theta_right = 2;
-  LargeMbpOptions lopts;
-  lopts.theta_left = 2;
-  lopts.theta_right = 2;
-  const LargeMbpStats direct_large =
-      LargeMbpEngine(g, lopts).Run([](const Biplex&) { return true; });
+  const EnumerateStats direct_large = DirectCoreRun(g, unsafe);
+  ASSERT_TRUE(direct_large.large_mbp.has_value()) << direct_large.error;
 
   EnumerateRequest capped;  // safe thresholds, but a global link budget
   capped.algorithm = "itraversal";
   capped.theta_left = 4;
   capped.theta_right = 4;
   capped.max_links = 1u << 30;  // large enough to complete
-  TraversalOptions topts = MakeITraversalOptions(1);
-  topts.theta_left = 4;
-  topts.theta_right = 4;
-  topts.max_links = capped.max_links;
-  const TraversalStats direct_trav =
-      TraversalEngine(g, topts).Run([](const Biplex&) { return true; });
+  const EnumerateStats direct_trav = DirectCoreRun(g, capped);
+  ASSERT_TRUE(direct_trav.traversal.has_value()) << direct_trav.error;
 
   for (int threads : {1, 4}) {
     unsafe.threads = threads;
@@ -497,12 +509,13 @@ TEST(ComponentPlan, UnsafeThresholdsAndLinkBudgetsKeepTheSequentialRun) {
     ASSERT_TRUE(s.ok() && s.large_mbp.has_value()) << s.error;
     ASSERT_TRUE(s.plan.has_value());
     EXPECT_EQ(s.plan->name, "sequential");
-    EXPECT_EQ(s.large_mbp->core_left, direct_large.core_left);
-    EXPECT_EQ(s.large_mbp->traversal.links, direct_large.traversal.links);
+    EXPECT_EQ(s.plan->shards, 1u);
+    EXPECT_EQ(s.large_mbp->core_left, direct_large.large_mbp->core_left);
+    EXPECT_EQ(s.work_units, direct_large.work_units);
     EXPECT_EQ(s.large_mbp->traversal.almost_sat_graphs,
-              direct_large.traversal.almost_sat_graphs);
+              direct_large.large_mbp->traversal.almost_sat_graphs);
     EXPECT_EQ(s.large_mbp->traversal.local_stats.adjacency_tests,
-              direct_large.traversal.local_stats.adjacency_tests);
+              direct_large.large_mbp->traversal.local_stats.adjacency_tests);
 
     capped.threads = threads;
     EnumerateStats c;
@@ -510,44 +523,98 @@ TEST(ComponentPlan, UnsafeThresholdsAndLinkBudgetsKeepTheSequentialRun) {
     ASSERT_TRUE(c.ok() && c.traversal.has_value()) << c.error;
     ASSERT_TRUE(c.plan.has_value());
     EXPECT_EQ(c.plan->name, "sequential");
+    EXPECT_EQ(c.plan->shards, 1u);
     EXPECT_TRUE(c.completed);
-    EXPECT_EQ(c.traversal->links, direct_trav.links);
-    EXPECT_EQ(c.traversal->almost_sat_graphs, direct_trav.almost_sat_graphs);
+    EXPECT_EQ(c.work_units, direct_trav.work_units);
+    EXPECT_EQ(c.traversal->almost_sat_graphs,
+              direct_trav.traversal->almost_sat_graphs);
     EXPECT_EQ(c.traversal->local_stats.adjacency_tests,
-              direct_trav.local_stats.adjacency_tests);
+              direct_trav.traversal->local_stats.adjacency_tests);
   }
 }
 
 TEST(ComponentPlan, OneSurvivingComponentReusesThePeelSequentially) {
-  // Safe thresholds, but the core is one component: large-mbp runs once
-  // on the plan's core, counter for counter like an engine that peels
-  // for itself.
-  const BipartiteGraph g = MakeRandomGraph({11, 11, 0.6, 95});
-  LargeMbpOptions opts;
-  opts.theta_left = 3;
-  opts.theta_right = 3;
-  const LargeMbpStats direct =
-      LargeMbpEngine(g, opts).Run([](const Biplex&) { return true; });
-  ASSERT_GT(direct.traversal.links, 0u);
+  // Safe thresholds, but the core is one component: the backend runs
+  // once on it, counter for counter like a direct run on the core. Two
+  // pendant vertices hang off a dense 11 x 11 component; the (2, 2)-core
+  // drops them.
+  std::vector<BipartiteGraph::Edge> edges =
+      MakeRandomGraph({11, 11, 0.6, 95}).Edges();
+  edges.emplace_back(11, 0);
+  edges.emplace_back(0, 11);
+  const BipartiteGraph g = BipartiteGraph::FromEdges(12, 12, std::move(edges));
+  ASSERT_EQ(ConnectedComponents(AlphaBetaCoreSubgraph(g, 2, 2).graph).size(),
+            1u);
   QuerySession session(PreparedGraph::Borrow(g));
-  EnumerateRequest req;
-  req.algorithm = "large-mbp";
-  req.theta_left = 3;
-  req.theta_right = 3;
-  EnumerateStats s;
-  EXPECT_EQ(session.Count(req, &s), direct.traversal.solutions_emitted);
-  ASSERT_TRUE(s.ok() && s.large_mbp.has_value()) << s.error;
-  ASSERT_TRUE(s.plan.has_value());
-  EXPECT_EQ(s.plan->name, "sequential");
-  EXPECT_EQ(s.large_mbp->core_left, direct.core_left);
-  EXPECT_EQ(s.large_mbp->core_right, direct.core_right);
-  EXPECT_EQ(s.large_mbp->traversal.links, direct.traversal.links);
-  EXPECT_EQ(s.large_mbp->traversal.almost_sat_graphs,
-            direct.traversal.almost_sat_graphs);
-  EXPECT_EQ(s.large_mbp->traversal.candidates_generated,
-            direct.traversal.candidates_generated);
-  EXPECT_EQ(s.large_mbp->traversal.local_stats.adjacency_tests,
-            direct.traversal.local_stats.adjacency_tests);
+  for (const char* name : {"large-mbp", "itraversal", "btraversal"}) {
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 3;
+    req.theta_right = 3;
+    const EnumerateStats direct = DirectCoreRun(g, req);
+    ASSERT_GT(direct.work_units, 0u) << name;
+    EnumerateStats s;
+    EXPECT_EQ(session.Count(req, &s), direct.solutions) << name;
+    ASSERT_TRUE(s.ok()) << s.error;
+    ASSERT_TRUE(s.plan.has_value());
+    EXPECT_EQ(s.plan->name, "sequential") << name;
+    EXPECT_EQ(s.plan->shards, 1u) << name;
+    EXPECT_EQ(s.work_units, direct.work_units) << name;
+    const TraversalStats& t = s.large_mbp ? s.large_mbp->traversal
+                                          : *s.traversal;
+    const TraversalStats& d = direct.large_mbp
+                                  ? direct.large_mbp->traversal
+                                  : *direct.traversal;
+    EXPECT_EQ(t.almost_sat_graphs, d.almost_sat_graphs) << name;
+    EXPECT_EQ(t.candidates_generated, d.candidates_generated) << name;
+    EXPECT_EQ(t.local_stats.adjacency_tests, d.local_stats.adjacency_tests)
+        << name;
+    if (s.large_mbp) {
+      EXPECT_EQ(s.large_mbp->core_left, direct.large_mbp->core_left);
+      EXPECT_EQ(s.large_mbp->core_right, direct.large_mbp->core_right);
+    }
+  }
+}
+
+TEST(ComponentPlan, EveryBackendRunsOnThePeeledCoreOfTheToyGraph) {
+  // ci/toy_graph.txt at k = 1, theta = 3: the (2, 2)-core is one
+  // component. Every backend but the oracles runs on it, so itraversal
+  // and large-mbp do the same work, at any thread count, renumbered or
+  // not.
+  LoadResult loaded =
+      LoadEdgeList(KBIPLEX_SOURCE_DIR "/ci/toy_graph.txt");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const std::vector<Biplex> expect =
+      FilterBySize(BruteForceMaximalBiplexes(*loaded.graph, 1), 3, 3);
+  ASSERT_EQ(expect.size(), 2u);
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  for (bool renumber : {false, true}) {
+    auto prepared = PreparedGraph::Prepare(BipartiteGraph(*loaded.graph),
+                                           {.renumber = renumber});
+    QuerySession session(prepared);
+    for (int threads : {1, 4}) {
+      std::map<std::string, uint64_t> work;
+      for (const std::string& name : registry.Names()) {
+        EnumerateRequest req;
+        req.algorithm = name;
+        req.theta_left = 3;
+        req.theta_right = 3;
+        req.threads = threads;
+        EnumerateStats s;
+        EXPECT_EQ(session.Collect(req, &s), expect)
+            << name << " threads=" << threads << " renumber=" << renumber;
+        ASSERT_TRUE(s.ok() && s.completed) << name << ": " << s.error;
+        work[name] = s.work_units;
+        if (name == "brute-force" || name == "imb") continue;
+        const EnumerateStats direct =
+            DirectCoreRun(prepared->ExecutionGraph(), req);
+        EXPECT_EQ(s.work_units, direct.work_units)
+            << name << " threads=" << threads << " renumber=" << renumber;
+      }
+      EXPECT_EQ(work["itraversal"], work["large-mbp"])
+          << "threads=" << threads << " renumber=" << renumber;
+    }
+  }
 }
 
 TEST(ComponentPlan, ThreadsOneAcceptsASinkThatIsNotThreadCompatible) {

@@ -13,7 +13,6 @@
 #include "api/query_session.h"
 #include "core/biplex.h"
 #include "core/itraversal.h"
-#include "core/large_mbp.h"
 #include "graph/bipartite_graph.h"
 #include "graph/generators.h"
 #include "util/random.h"
@@ -73,26 +72,25 @@ inline std::vector<Biplex> CollectWith(const BipartiteGraph& g,
   return out;
 }
 
-/// Runs the large-MBP engine once and returns its solutions, sorted.
-inline std::vector<Biplex> CollectLargeWith(const BipartiteGraph& g,
-                                            const LargeMbpOptions& opts,
-                                            LargeMbpStats* stats = nullptr) {
-  std::vector<Biplex> out;
-  LargeMbpStats s = LargeMbpEngine(g, opts).Run([&](const Biplex& b) {
-    out.push_back(b);
-    return true;
-  });
-  if (stats != nullptr) *stats = s;
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 /// Runs `request` once over `g` through a fresh QuerySession on the
 /// borrowed graph (what Enumerate does) and returns the solutions, sorted.
 inline std::vector<Biplex> CollectRequest(const BipartiteGraph& g,
                                           const EnumerateRequest& request,
                                           EnumerateStats* stats = nullptr) {
   return QuerySession(PreparedGraph::Borrow(g)).Collect(request, stats);
+}
+
+/// Runs the large-mbp backend once over `g` (through the execution plan,
+/// which peels the request's core) and returns its solutions, sorted.
+inline std::vector<Biplex> CollectLarge(const BipartiteGraph& g, KPair k,
+                                        size_t theta_left, size_t theta_right,
+                                        EnumerateStats* stats = nullptr) {
+  EnumerateRequest request;
+  request.algorithm = "large-mbp";
+  request.k = k;
+  request.theta_left = theta_left;
+  request.theta_right = theta_right;
+  return CollectRequest(g, request, stats);
 }
 
 }  // namespace testing_support

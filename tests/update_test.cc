@@ -298,7 +298,8 @@ TEST(ApplyUpdatesTest, StalenessThresholdTriggersRebuild) {
   ASSERT_TRUE(r1.ok()) << r1.error;
   EXPECT_FALSE(r1.rebuilt);
   EXPECT_EQ(r1.prepared->lineage().full_rebuilds, 0u);
-  EXPECT_GT(r1.prepared->lineage().artifacts_incremental, 0u);
+  // Warmup built the execution graph and the core bound, both patched.
+  EXPECT_EQ(r1.prepared->lineage().artifacts_incremental, 2u);
 
   update::UpdateBatch large;  // 3/5 > 0.5: full rebuild
   large.Insert(1, 0);
@@ -309,6 +310,7 @@ TEST(ApplyUpdatesTest, StalenessThresholdTriggersRebuild) {
   ASSERT_TRUE(r2.ok()) << r2.error;
   EXPECT_TRUE(r2.rebuilt);
   EXPECT_EQ(r2.prepared->lineage().full_rebuilds, 1u);
+  EXPECT_EQ(r2.prepared->lineage().artifacts_rebuilt, 2u);
   EXPECT_EQ(r2.prepared->lineage().epoch, 2u);
   EXPECT_EQ(r2.prepared->lineage().updates_applied, 2u);
 
