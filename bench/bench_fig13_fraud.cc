@@ -2,7 +2,7 @@
 // Compares biclique, 1-biplex, 2-biplex, (α,β)-core and δ-quasi-biclique
 // detectors, reporting precision / recall / F1 for θ_L(β) = 4 and
 // θ_R(α) ∈ {3..7}; "ND" marks detectors that flagged nothing, as in the
-// paper.
+// paper, and a trailing "*" a detector that stopped at its budget.
 #include <iostream>
 #include <string>
 
@@ -19,14 +19,25 @@ using namespace kbiplex::bench;
 
 namespace {
 
-std::string MetricCell(const BinaryMetrics& m, double BinaryMetrics::*field) {
-  if (!m.defined) return "ND";
-  return FormatDouble(m.*field, 2);
+/// One detector's run: its scores and whether it finished.
+struct Cell {
+  BinaryMetrics metrics;
+  bool completed = true;
+};
+
+Cell Score(const FraudDataset& data, const DetectionResult& result) {
+  return {EvaluateDetection(data, result), result.completed};
+}
+
+std::string MetricCell(const Cell& c, double BinaryMetrics::*field) {
+  const std::string stopped = c.completed ? "" : "*";
+  if (!c.metrics.defined) return "ND" + stopped;
+  return FormatDouble(c.metrics.*field, 2) + stopped;
 }
 
 void PrintMetricTable(const char* title,
                       const std::vector<std::string>& detectors,
-                      const std::vector<std::vector<BinaryMetrics>>& rows,
+                      const std::vector<std::vector<Cell>>& rows,
                       double BinaryMetrics::*field, size_t theta_lo) {
   std::cout << title << "\n";
   std::vector<std::string> headers = {"theta_R (alpha)"};
@@ -34,9 +45,7 @@ void PrintMetricTable(const char* title,
   TextTable t(headers);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::vector<std::string> cells = {std::to_string(theta_lo + i)};
-    for (const BinaryMetrics& m : rows[i]) {
-      cells.push_back(MetricCell(m, field));
-    }
+    for (const Cell& c : rows[i]) cells.push_back(MetricCell(c, field));
     t.AddRow(std::move(cells));
   }
   t.Print(std::cout);
@@ -76,30 +85,27 @@ int main(int argc, char** argv) {
       "0.01-QB",  "0.1-QB",   "0.2-QB",   "0.3-QB"};
 
   BenchJsonWriter writer("fig13_fraud");
-  std::vector<std::vector<BinaryMetrics>> rows;
+  std::vector<std::vector<Cell>> rows;
   DetectorBudget budget;
   budget.time_budget_seconds = quick ? 10 : 60;
   for (size_t tr = theta_lo; tr <= theta_hi; ++tr) {
-    std::vector<BinaryMetrics> row;
-    row.push_back(EvaluateDetection(
-        data, DetectByBiclique(data, theta_l, tr, budget)));
-    row.push_back(EvaluateDetection(
-        data, DetectByBiplex(data, 1, theta_l, tr, budget)));
-    row.push_back(EvaluateDetection(
-        data, DetectByBiplex(data, 2, theta_l, tr, budget)));
-    row.push_back(EvaluateDetection(
+    std::vector<Cell> row;
+    row.push_back(Score(data, DetectByBiclique(data, theta_l, tr, budget)));
+    row.push_back(Score(data, DetectByBiplex(data, 1, theta_l, tr, budget)));
+    row.push_back(Score(data, DetectByBiplex(data, 2, theta_l, tr, budget)));
+    row.push_back(Score(
         data, DetectByAlphaBetaCore(data, /*alpha=*/tr, /*beta=*/theta_l)));
     for (double delta : {0.01, 0.1, 0.2, 0.3}) {
-      row.push_back(EvaluateDetection(
-          data, DetectByQuasiBiclique(data, delta, theta_l, tr)));
+      row.push_back(
+          Score(data, DetectByQuasiBiclique(data, delta, theta_l, tr)));
     }
     for (size_t d = 0; d < detectors.size(); ++d) {
-      const BinaryMetrics& m = row[d];
+      const BinaryMetrics& m = row[d].metrics;
       BenchJsonWriter::Record r;
       r.name = detectors[d] + "/theta_r=" + std::to_string(tr);
       r.dataset = "attacked-review-graph";
       r.algorithm = detectors[d];
-      r.completed = m.defined;
+      r.completed = row[d].completed;
       if (m.defined) {
         r.counters.emplace_back("precision", m.precision);
         r.counters.emplace_back("recall", m.recall);
@@ -118,7 +124,8 @@ int main(int argc, char** argv) {
                    &BinaryMetrics::f1, theta_lo);
 
   std::cout << "(theta_L (beta) fixed at " << theta_l
-            << "; ND: detector flagged nothing. Expected shape: 1-biplex "
+            << "; ND: detector flagged nothing; *: detector stopped at its "
+               "budget, so its flags are partial. Expected shape: 1-biplex "
                "achieves the best F1, bicliques lose recall as theta_R "
                "grows, the (a,b)-core keeps recall but loses precision.)\n";
   return 0;

@@ -7,11 +7,11 @@
 //
 // The workload is the dense synthetic large-MBP shape of
 // bench_candidate_gen (scaled to keep the 10x one-shot loop laptop-fast):
-// both paths run the identical request, and the graph's 4,840 edges are
-// above the engine's kAutoIndexMinEdges threshold, so the one-shot path
-// builds a throwaway bitset adjacency index per call while the session
-// path attaches one at prepare time — plus the renumbering win no
-// one-shot call can access.
+// both paths run the identical request; the one-shot path builds a
+// throwaway bitset adjacency index per call (an engine builds one
+// whenever its graph has none attached) while the session path attaches
+// one at prepare time — plus the renumbering win no one-shot call can
+// access.
 // Every run must deliver the same solution count; a mismatch aborts.
 //
 // Results print as a table and are recorded in

@@ -110,7 +110,7 @@ DetectionResult DetectByBiplex(const FraudDataset& data, int k,
     FlagBiplex(b, &out);
     return true;
   });
-  Enumerate(data.graph, req, &sink);
+  out.completed = Enumerate(data.graph, req, &sink).completed;
   return out;
 }
 
@@ -127,13 +127,14 @@ DetectionResult DetectByBiclique(const FraudDataset& data, size_t theta_l,
   opts.theta_right = theta_r;
   opts.max_results = budget.max_results;
   opts.time_budget_seconds = budget.time_budget_seconds;
-  EnumerateMaximalBicliques(core.graph, opts, [&](const Biplex& b) {
-    Biplex mapped;
-    for (VertexId v : b.left) mapped.left.push_back(core.left_map[v]);
-    for (VertexId u : b.right) mapped.right.push_back(core.right_map[u]);
-    FlagBiplex(mapped, &out);
-    return true;
-  });
+  out.completed =
+      EnumerateMaximalBicliques(core.graph, opts, [&](const Biplex& b) {
+        Biplex mapped;
+        for (VertexId v : b.left) mapped.left.push_back(core.left_map[v]);
+        for (VertexId u : b.right) mapped.right.push_back(core.right_map[u]);
+        FlagBiplex(mapped, &out);
+        return true;
+      }).completed;
   return out;
 }
 

@@ -48,6 +48,9 @@ struct DetectionResult {
   std::vector<bool> user_flagged;
   std::vector<bool> product_flagged;
   uint64_t subgraphs_found = 0;
+  /// False iff the detector stopped at a DetectorBudget limit: the flags
+  /// then cover only the subgraphs found before the stop.
+  bool completed = true;
 
   /// True iff at least one vertex was flagged ("ND" rows never happen).
   bool FlaggedAnything() const;

@@ -38,10 +38,10 @@
 // The traversal engines have one Step-1 candidate generator: incremental
 // per-frame candidate lists, narrowed to the 2-hop neighborhood exactly
 // when the Section 5 prune allows it (theta_other > k). They use the
-// graph's attached adjacency index or, on graphs with at least
-// kAutoIndexMinEdges edges, an engine-local one (see core/itraversal.cc);
-// neither is a per-request option. Attaching the index is a prepare-time
-// choice (PrepareOptions::adjacency_index).
+// graph's attached adjacency index or, when it has none, an engine-local
+// one (see core/itraversal.cc); neither is a per-request option.
+// Attaching the index is a prepare-time choice
+// (PrepareOptions::adjacency_index).
 #ifndef KBIPLEX_API_ENUMERATOR_H_
 #define KBIPLEX_API_ENUMERATOR_H_
 

@@ -379,27 +379,38 @@ std::vector<InducedSubgraph> PeelAndSplit(const BipartiteGraph& g,
                                           const AlgorithmInfo& info) {
   const CoreDegrees d = RequestCoreDegrees(request);
   if (d.alpha == 0 && d.beta == 0) return {};
-  InducedSubgraph core = AlphaBetaCoreSubgraph(g, d.alpha, d.beta);
+  // Copy only what is kept: a peel that keeps every vertex leaves `g`
+  // itself, and a core of one component is its own single shard.
+  const CoreResult kept = AlphaBetaCore(g, d.alpha, d.beta);
+  const bool whole = kept.left.size() == g.NumLeft() &&
+                     kept.right.size() == g.NumRight();
+  InducedSubgraph core;
+  if (!whole) core = Induce(g, kept.left, kept.right);
+  const BipartiteGraph& peeled = whole ? g : core.graph;
   std::vector<InducedSubgraph> shards;
   if (SplitApplies(request, info)) {
-    for (InducedSubgraph& c : ConnectedComponents(core.graph)) {
-      if (c.graph.NumLeft() < request.theta_left ||
-          c.graph.NumRight() < request.theta_right) {
-        continue;
+    const ComponentLabeling labels = LabelConnectedComponents(peeled);
+    if (labels.num_components >= 2) {
+      for (InducedSubgraph& c : ConnectedComponents(peeled, labels)) {
+        if (c.graph.NumLeft() < request.theta_left ||
+            c.graph.NumRight() < request.theta_right) {
+          continue;
+        }
+        if (!whole) {
+          for (VertexId& v : c.left_map) v = core.left_map[v];
+          for (VertexId& u : c.right_map) u = core.right_map[u];
+        }
+        shards.push_back(std::move(c));
       }
-      for (VertexId& v : c.left_map) v = core.left_map[v];
-      for (VertexId& u : c.right_map) u = core.right_map[u];
-      shards.push_back(std::move(c));
+      std::stable_sort(shards.begin(), shards.end(),
+                       [](const InducedSubgraph& a, const InducedSubgraph& b) {
+                         return a.graph.NumEdges() > b.graph.NumEdges();
+                       });
     }
-    std::stable_sort(shards.begin(), shards.end(),
-                     [](const InducedSubgraph& a, const InducedSubgraph& b) {
-                       return a.graph.NumEdges() > b.graph.NumEdges();
-                     });
   }
-  if (shards.empty()) shards.push_back(std::move(core));
-  if (shards.size() == 1 && shards[0].graph.NumLeft() == g.NumLeft() &&
-      shards[0].graph.NumRight() == g.NumRight()) {
-    return {};
+  if (shards.empty()) {
+    if (whole) return {};
+    shards.push_back(std::move(core));
   }
   return shards;
 }

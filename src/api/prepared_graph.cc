@@ -99,20 +99,8 @@ void PreparedGraph::BuildExecutionGraph() const {
     renumbering_ = RenumberByDegeneracy(*graph_);
     target = &renumbering_.graph;
   }
-  bool attach = false;
-  switch (options_.adjacency_index) {
-    case AdjacencyAccelMode::kOff:
-      break;
-    case AdjacencyAccelMode::kAuto:
-      // Same threshold at which an engine would build a throwaway per-run
-      // index, so kAuto never attaches where no engine would want one.
-      attach = graph_->NumEdges() >= kAutoIndexMinEdges;
-      break;
-    case AdjacencyAccelMode::kForce:
-      attach = true;
-      break;
-  }
-  if (attach && target != nullptr) {
+  if (options_.adjacency_index != AdjacencyAccelMode::kOff &&
+      target != nullptr) {
     target->BuildAdjacencyIndex(options_.adjacency_min_degree,
                                 options_.accel_budget_bytes);
     counters_.RecordAdjacency(*target->adjacency_index());

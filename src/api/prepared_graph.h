@@ -48,13 +48,14 @@ struct EpochBuilder;
 /// (graph/adjacency_index.h) to its execution graph. Every policy yields
 /// the exact same solution sets; only the work differs.
 enum class AdjacencyAccelMode : uint8_t {
-  /// Attach when the graph has at least kAutoIndexMinEdges edges: the
-  /// same threshold at which an engine builds a throwaway per-run index.
+  /// Attach at Prepare and on every update epoch, whatever the graph's
+  /// size: the index plans its rows per vertex (graph/adjacency_index.h),
+  /// so a small graph gets small rows and a sparse vertex none.
   kAuto,
-  /// Never attach. Engines still build their own per-run index on graphs
-  /// with at least kAutoIndexMinEdges edges.
+  /// Never attach. Engines still build their own per-run index on the
+  /// graph they traverse.
   kOff,
-  /// Always attach.
+  /// Always attach; the same as kAuto.
   kForce,
 };
 

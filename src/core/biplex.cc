@@ -93,8 +93,11 @@ bool IsMaximalKBiplex(const BipartiteGraph& g, const Biplex& b, KPair k) {
          !extender.AnyAddable(b, Side::kRight);
 }
 
-MaximalExtender::MaximalExtender(const BipartiteGraph& g, KPair k)
-    : g_(g), k_(k) {
+MaximalExtender::MaximalExtender(const BipartiteGraph& g, KPair k,
+                                 const AdjacencyIndex* index)
+    : g_(g),
+      k_(k),
+      accel_(index != nullptr ? index : g.adjacency_index()) {
   conn_count_[0].assign(g.NumLeft(), 0);
   conn_count_[1].assign(g.NumRight(), 0);
 }
@@ -125,126 +128,83 @@ void MaximalExtender::CollectCandidates(const Biplex& b, Side side,
       ++conn[w];
     }
   }
+  std::sort(touched.begin(), touched.end());
   const size_t need = other.size() - uk;
   for (VertexId w : touched) {
     if (conn[w] >= need && !sorted::Contains(same, w)) out->push_back(w);
     conn[w] = 0;  // reset scratch
   }
-  std::sort(out->begin(), out->end());
-}
-
-void MaximalExtender::AppendAddableVertices(const Biplex& b, Side side,
-                                            std::vector<VertexId>* out,
-                                            bool stop_at_first) const {
-  std::vector<VertexId> candidates;
-  CollectCandidates(b, side, &candidates);
-  for (VertexId v : candidates) {
-    if (CanAdd(g_, b, side, v, k_)) {
-      out->push_back(v);
-      if (stop_at_first) return;
-    }
-  }
 }
 
 bool MaximalExtender::AnyAddable(const Biplex& b, Side side) const {
-  // Fast path driven by "slackless" members: a member a of the opposite
-  // side already at its disconnection budget blocks every candidate it is
-  // disconnected from, so candidates must be common neighbors of all
-  // slackless members. This avoids scanning the whole side when the
-  // candidate-side budget would otherwise admit every vertex (the hot case
-  // of the right-shrinking filter on solutions with a tiny anchored side).
+  // A non-member v joins iff its own budget admits it and it connects
+  // every "tight" opposite member, one already at its budget (v would
+  // push it past). So the candidates are the common neighbors of the
+  // tight members, searched from the one of least degree; with no tight
+  // member every candidate of CollectCandidates joins. This avoids
+  // scanning the whole side when the candidate-side budget would
+  // otherwise admit every vertex (the hot case of the right-shrinking
+  // filter on solutions with a tiny anchored side).
+  const Side o = Opposite(side);
   const std::vector<VertexId>& same = b.SideSet(side);
-  const std::vector<VertexId>& other = b.SideSet(Opposite(side));
-  const size_t other_budget =
-      static_cast<size_t>(k_.ForSide(Opposite(side)));
-  VertexId tightest = kInvalidVertex;  // slackless member of min degree
-  for (VertexId a : other) {
-    if (g_.DiscCount(Opposite(side), a, same) == other_budget) {
-      if (tightest == kInvalidVertex ||
-          g_.Degree(Opposite(side), a) < g_.Degree(Opposite(side), tightest)) {
-        tightest = a;
-      }
-    }
-  }
-  if (tightest != kInvalidVertex) {
-    // Candidates are restricted to Γ(tightest).
-    for (VertexId u : g_.Neighbors(Opposite(side), tightest)) {
-      if (CanAdd(g_, b, side, u, k_)) return true;
-    }
-    return false;
-  }
-  // No member is slackless: every candidate passing its own budget joins.
+  const std::vector<VertexId>& other = b.SideSet(o);
   const size_t own_budget = static_cast<size_t>(k_.ForSide(side));
-  if (other.size() <= own_budget) {
-    // Any non-member qualifies unconditionally.
-    return same.size() < g_.NumOnSide(side);
+  const size_t other_budget = static_cast<size_t>(k_.ForSide(o));
+  std::vector<VertexId> tight;  // ascending, like `other`
+  VertexId tightest = kInvalidVertex;
+  for (VertexId a : other) {
+    if (same.size() - Conn(o, a, same) < other_budget) continue;
+    tight.push_back(a);
+    if (tightest == kInvalidVertex ||
+        g_.Degree(o, a) < g_.Degree(o, tightest)) {
+      tightest = a;
+    }
   }
-  std::vector<VertexId> found;
-  AppendAddableVertices(b, side, &found, /*stop_at_first=*/true);
-  return !found.empty();
+  if (tight.empty()) {
+    // Any non-member qualifies unconditionally.
+    if (other.size() <= own_budget) return same.size() < g_.NumOnSide(side);
+    std::vector<VertexId> candidates;
+    CollectCandidates(b, side, &candidates);
+    return !candidates.empty();
+  }
+  const size_t need =
+      other.size() > own_budget ? other.size() - own_budget : 0;
+  for (VertexId v : g_.Neighbors(o, tightest)) {
+    if (sorted::Contains(same, v)) continue;
+    if (Conn(side, v, tight) != tight.size()) continue;
+    if (Conn(side, v, other) >= need) return true;
+  }
+  return false;
 }
 
 void MaximalExtender::ExtendSide(Biplex* b, Side side) const {
   std::vector<VertexId>& same = b->MutableSideSet(side);
   const std::vector<VertexId>& other = b->SideSet(Opposite(side));
-  const size_t own_budget = static_cast<size_t>(k_.ForSide(side));
   const size_t other_budget =
       static_cast<size_t>(k_.ForSide(Opposite(side)));
 
-  // Candidate prefilter with connection counts. `other` is fixed during
-  // this pass (only `same` grows), so one adjacency sweep suffices.
+  // Candidates whose own budget admits them. `other` is fixed during this
+  // pass (only `same` grows), so one adjacency sweep suffices.
   std::vector<VertexId> candidates;
-  std::vector<uint32_t> cand_conn;  // |Γ(v) ∩ other| aligned to candidates
-  if (other.size() <= own_budget) {
-    const size_t n = g_.NumOnSide(side);
-    for (VertexId v = 0; v < n; ++v) {
-      if (sorted::Contains(same, v)) continue;
-      candidates.push_back(v);
-      cand_conn.push_back(
-          static_cast<uint32_t>(g_.ConnCount(side, v, other)));
-    }
-  } else {
-    const size_t side_idx = side == Side::kLeft ? 0 : 1;
-    std::vector<uint32_t>& conn = conn_count_[side_idx];
-    std::vector<VertexId>& touched = touched_[side_idx];
-    touched.clear();
-    for (VertexId u : other) {
-      for (VertexId w : g_.Neighbors(Opposite(side), u)) {
-        if (conn[w] == 0) touched.push_back(w);
-        ++conn[w];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    const size_t need = other.size() - own_budget;
-    for (VertexId w : touched) {
-      if (conn[w] >= need && !sorted::Contains(same, w)) {
-        candidates.push_back(w);
-        cand_conn.push_back(conn[w]);
-      }
-      conn[w] = 0;  // reset scratch
-    }
-  }
+  CollectCandidates(*b, side, &candidates);
 
   // Disconnection counters of `other` members and the "tight" ones already
-  // at their budget: a candidate is addable iff its own budget fits and it
-  // connects every tight member. Maintained incrementally per accepted
-  // vertex, which turns the per-candidate test into O(|tight|) instead of
-  // a full CanAdd scan.
+  // at their budget: a candidate is addable iff it connects every tight
+  // member. Maintained incrementally per accepted vertex, which turns the
+  // per-candidate test into O(|tight|) instead of a full CanAdd scan.
   std::vector<size_t> disc(other.size());
   std::vector<VertexId> tight;
   for (size_t i = 0; i < other.size(); ++i) {
-    disc[i] = same.size() - g_.ConnCount(Opposite(side), other[i], same);
+    disc[i] = same.size() - Conn(Opposite(side), other[i], same);
     if (disc[i] == other_budget) tight.push_back(other[i]);
   }
 
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    const VertexId v = candidates[ci];
-    if (other.size() - cand_conn[ci] > own_budget) continue;
-    if (g_.ConnCount(side, v, tight) != tight.size()) continue;
+  for (VertexId v : candidates) {
+    if (Conn(side, v, tight) != tight.size()) continue;
     sorted::Insert(&same, v);
     // Update counters of the members v misses.
     for (size_t i = 0; i < other.size(); ++i) {
-      if (g_.IsAdjacent(side, v, other[i])) continue;
+      if (AcceleratedIsAdjacent(accel_, g_, side, v, other[i])) continue;
       if (++disc[i] == other_budget) sorted::Insert(&tight, other[i]);
     }
   }

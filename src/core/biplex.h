@@ -103,8 +103,11 @@ inline bool CanAdd(const BipartiteGraph& g, const Biplex& b, Side side,
 /// requires.
 class MaximalExtender {
  public:
-  /// `g` must outlive the extender.
-  MaximalExtender(const BipartiteGraph& g, KPair k);
+  /// `g` (and `index`, when given) must outlive the extender. Adjacency
+  /// tests and connection counts go through `index` when non-null, else
+  /// through the graph's attached index, else through CSR search.
+  MaximalExtender(const BipartiteGraph& g, KPair k,
+                  const AdjacencyIndex* index = nullptr);
   MaximalExtender(const BipartiteGraph& g, int k)
       : MaximalExtender(g, KPair::Uniform(k)) {}
 
@@ -112,18 +115,18 @@ class MaximalExtender {
   /// may receive vertices (iTraversal's Step 3 grows the left side only).
   void Extend(Biplex* b, bool grow_left, bool grow_right) const;
 
-  /// Appends to `out` every vertex of side `side` that can currently join
-  /// `b`. Used by maximality checks and the right-shrinking filter.
-  void AppendAddableVertices(const Biplex& b, Side side,
-                             std::vector<VertexId>* out,
-                             bool stop_at_first = false) const;
-
-  /// True iff some vertex of side `side` outside `b` can join `b`.
+  /// True iff some vertex of side `side` outside `b` can join `b` (a
+  /// k-biplex). Used by maximality checks and the right-shrinking filter.
   bool AnyAddable(const Biplex& b, Side side) const;
 
  private:
-  // Collects candidate vertices of `side` with enough connections into the
-  // opposite member set of `b` to possibly join (δ(v, other) >= |other|-k).
+  size_t Conn(Side side, VertexId v,
+              const std::vector<VertexId>& subset) const {
+    return AcceleratedConnCount(accel_, g_, side, v, subset);
+  }
+
+  // Appends the non-members v of `side` whose own budget admits them
+  // (δ(v, other) >= |other| - k), ascending.
   void CollectCandidates(const Biplex& b, Side side,
                          std::vector<VertexId>* out) const;
 
@@ -133,6 +136,7 @@ class MaximalExtender {
 
   const BipartiteGraph& g_;
   KPair k_;
+  const AdjacencyIndex* accel_;  // resolved acceleration source; may be null
   // Scratch: connection counters indexed by vertex id, one per side.
   mutable std::vector<uint32_t> conn_count_[2];
   mutable std::vector<VertexId> touched_[2];

@@ -23,7 +23,12 @@ class TraversalEngine::Impl {
   Impl(const BipartiteGraph& g, const TraversalOptions& opts)
       : g_(g),
         opts_(opts),
-        extender_(g, opts.k),
+        owned_accel_(g.adjacency_index() == nullptr
+                         ? std::make_unique<AdjacencyIndex>(g)
+                         : nullptr),
+        accel_(owned_accel_ != nullptr ? owned_accel_.get()
+                                       : g.adjacency_index()),
+        extender_(g, opts.k, accel_),
         prune_(opts.left_anchored && opts.right_shrinking &&
                (opts.theta_left > 0 || opts.theta_right > 0)) {
     assert(opts.k.left >= 1 && opts.k.right >= 1);
@@ -33,7 +38,6 @@ class TraversalEngine::Impl {
           static_cast<size_t>(opts_.k.ForSide(opts_.anchored_side));
       if (theta_other > k_side) min_conn_ = theta_other - k_side;
     }
-    InitAccel();
     if (opts_.scratch != nullptr) {
       // Adopt (or install) the session's pooled frame arena and shared
       // EnumAlmostSat workspace so consecutive engines of one session
@@ -47,17 +51,6 @@ class TraversalEngine::Impl {
       }
       frame_pool_ = &slot->pool;
       local_ws_ = &opts_.scratch->workspace;
-    }
-  }
-
-  /// Uses the graph's attached adjacency index when present; otherwise
-  /// builds an engine-local one for graphs with >= kAutoIndexMinEdges
-  /// edges. Exact-result preserving either way.
-  void InitAccel() {
-    accel_ = g_.adjacency_index();
-    if (accel_ == nullptr && g_.NumEdges() >= kAutoIndexMinEdges) {
-      owned_accel_ = std::make_unique<AdjacencyIndex>(g_);
-      accel_ = owned_accel_.get();
     }
   }
 
@@ -538,6 +531,11 @@ class TraversalEngine::Impl {
 
   const BipartiteGraph& g_;
   const TraversalOptions opts_;
+  // The hybrid adjacency index every step tests edges through: the
+  // graph's attached one, else an engine-local one built here. Exact-
+  // result preserving either way.
+  std::unique_ptr<AdjacencyIndex> owned_accel_;
+  const AdjacencyIndex* accel_;
   MaximalExtender extender_;
   // The Section 5 pruning rules (almost-satisfying-graph, local-solution,
   // solution and left-side pruning). They need the thetas and are sound
@@ -559,15 +557,11 @@ class TraversalEngine::Impl {
   const Deadline* deadline_ = nullptr;
   bool stop_ = false;
 
-  // Acceleration state: the hybrid adjacency index (attached, engine-
-  // owned, or null), the frame arena, the shared EnumAlmostSat workspace,
-  // and the candidate generator's anchored-side |Γ(w) ∩ B| counters (kept
-  // only while min_conn_ > 0, the list filter being their one reader).
-  const AdjacencyIndex* accel_ = nullptr;
-  std::unique_ptr<AdjacencyIndex> owned_accel_;
   // The frame arena and EnumAlmostSat workspace point at the session's
   // TraversalScratch when one is configured, else at the engine-owned
-  // fallbacks below.
+  // fallbacks below. conn_ holds the candidate generator's anchored-side
+  // |Γ(w) ∩ B| counters (kept only while min_conn_ > 0, the list filter
+  // being their one reader).
   ArenaPool<Frame> own_frame_pool_;
   EnumAlmostSatWorkspace own_ws_;
   ArenaPool<Frame>* frame_pool_ = &own_frame_pool_;

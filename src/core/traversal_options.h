@@ -24,11 +24,6 @@ enum class LocalEnumImpl : uint8_t {
   kInflation,  // graph inflation + maximal (k+1)-plex enumeration
 };
 
-/// Edge count from which the engine builds an engine-local adjacency
-/// index (graph/adjacency_index.h) when the graph has none attached; also
-/// the threshold at which PrepareOptions' kAuto attaches one.
-inline constexpr size_t kAutoIndexMinEdges = 4096;
-
 /// Options of one traversal run.
 struct TraversalOptions {
   /// Disconnection budgets; both sides must be >= 1. Uniform budgets give

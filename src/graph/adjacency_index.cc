@@ -67,16 +67,21 @@ void AdjacencyIndex::Build(const BipartiteGraph& g, const AdjacencyIndex* prev,
   row_start_[0].assign(g.NumLeft(), kNoRow);
   row_start_[1].assign(g.NumRight(), kNoRow);
 
-  // Qualifying rows, every one dense to start with — the unbudgeted plan
-  // is byte-identical to the historical all-dense index.
+  // Qualifying rows, every one dense to start with. A vertex qualifies
+  // when its degree reaches the threshold, or when its dense row is no
+  // larger than its CSR list (8 bytes per word against 4 per neighbor):
+  // on small graphs that gives every vertex a one-word row.
+  const auto qualifies = [&](size_t deg, size_t words) {
+    return deg >= min_degree || deg >= 2 * words;
+  };
   std::vector<PlannedRow> rows;
   for (VertexId v = 0; v < g.NumLeft(); ++v) {
     const size_t deg = g.LeftDegree(v);
-    if (deg >= min_degree) rows.push_back({0, v, deg});
+    if (qualifies(deg, row_words[0])) rows.push_back({0, v, deg});
   }
   for (VertexId u = 0; u < g.NumRight(); ++u) {
     const size_t deg = g.RightDegree(u);
-    if (deg >= min_degree) rows.push_back({1, u, deg});
+    if (qualifies(deg, row_words[1])) rows.push_back({1, u, deg});
   }
   const auto dense_cost = [&](const PlannedRow& r) {
     return row_words[r.side] * sizeof(uint64_t);

@@ -1,14 +1,24 @@
 // Hybrid adjacency acceleration structure: per-vertex rows over the
-// opposite side for high-degree vertices (fast membership tests) while
-// low-degree vertices keep using the graph's sorted CSR spans (O(log d)
-// binary search). The enumeration hot paths issue millions of adjacency
-// tests per second; on dense graphs the binary searches dominate the
-// profile, and a row over the opposite side turns each test into one
-// shift-and-mask (dense rows) or a short search over a compact array
-// (sparse rows).
+// opposite side (fast membership tests) while the remaining vertices keep
+// using the graph's sorted CSR spans (O(log d) binary search). The
+// enumeration hot paths issue millions of adjacency tests per second; on
+// dense graphs the binary searches dominate the profile, and a row over
+// the opposite side turns each test into one shift-and-mask (dense rows)
+// or a short search over a compact array (sparse rows).
 //
-// Rows are only built for vertices whose degree reaches a threshold, and
-// each row picks one of two roaring-style containers:
+// The row plan is a pure function of each vertex's degree d and the
+// opposite side's size n, so rebuilding an epoch's index gives the same
+// rows. A vertex gets a row when
+//
+//   - d reaches the degree threshold (automatic: max(kMinAutoDegree,
+//     average degree)), or
+//   - its dense row is no larger than its CSR list: 8 * ceil(n/64) bytes
+//     against 4 * d, i.e. d >= 2 * ceil(n/64). On a graph with at most 64
+//     vertices on the opposite side that is every vertex of degree >= 2,
+//     each with a one-word row. Past 448 vertices (8+ words, so d >= 16)
+//     it adds no row to an automatic threshold of kMinAutoDegree.
+//
+// Each row picks one of two roaring-style containers:
 //
 //   - dense: a bitset of ceil(|opposite|/64) words — O(1) tests, SIMD
 //     gather/popcount connection counts;
@@ -51,9 +61,11 @@ class AdjacencyIndex {
   static constexpr size_t kNoBudget = 0;
 
   /// Builds rows for every vertex with degree >= `min_degree` on either
-  /// side. `min_degree` = kAutoThreshold selects a heuristic threshold;
-  /// `memory_budget_bytes` = kNoBudget keeps every row dense, any other
-  /// value bounds the total container bytes (see the file comment).
+  /// side, and for every vertex whose dense row is no larger than its
+  /// adjacency list. `min_degree` = kAutoThreshold selects a heuristic
+  /// threshold; `memory_budget_bytes` = kNoBudget keeps every row dense,
+  /// any other value bounds the total container bytes (see the file
+  /// comment).
   explicit AdjacencyIndex(const BipartiteGraph& g,
                           size_t min_degree = kAutoThreshold,
                           size_t memory_budget_bytes = kNoBudget);

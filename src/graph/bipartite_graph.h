@@ -84,8 +84,9 @@ class BipartiteGraph {
 
   /// Builds and attaches the hybrid adjacency acceleration structure
   /// (per-row dense/sparse containers for vertices with degree >=
-  /// `min_degree`; see adjacency_index.h). `memory_budget_bytes` bounds
-  /// the container pool (kNoBudget = unlimited, every row dense).
+  /// `min_degree` or a row no larger than their adjacency list; see
+  /// adjacency_index.h). `memory_budget_bytes` bounds the container pool
+  /// (kNoBudget = unlimited, every row dense).
   /// Idempotent for fixed parameters; rebuilding with different ones
   /// replaces the index. The index is shared by copies made afterwards
   /// and is read-only, so attaching it before fanning a graph out to

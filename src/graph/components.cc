@@ -41,7 +41,11 @@ ComponentLabeling LabelConnectedComponents(const BipartiteGraph& g) {
 }
 
 std::vector<InducedSubgraph> ConnectedComponents(const BipartiteGraph& g) {
-  const ComponentLabeling labels = LabelConnectedComponents(g);
+  return ConnectedComponents(g, LabelConnectedComponents(g));
+}
+
+std::vector<InducedSubgraph> ConnectedComponents(
+    const BipartiteGraph& g, const ComponentLabeling& labels) {
   std::vector<std::vector<VertexId>> left_sets(labels.num_components);
   std::vector<std::vector<VertexId>> right_sets(labels.num_components);
   for (VertexId l = 0; l < g.NumLeft(); ++l) {

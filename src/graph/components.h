@@ -34,6 +34,10 @@ ComponentLabeling LabelConnectedComponents(const BipartiteGraph& g);
 /// without re-sorting.
 std::vector<InducedSubgraph> ConnectedComponents(const BipartiteGraph& g);
 
+/// The same, from a labeling of `g` the caller already holds.
+std::vector<InducedSubgraph> ConnectedComponents(
+    const BipartiteGraph& g, const ComponentLabeling& labels);
+
 }  // namespace kbiplex
 
 #endif  // KBIPLEX_GRAPH_COMPONENTS_H_

@@ -260,20 +260,8 @@ struct EpochBuilder {
         next.renumbering_.graph = ren.graph.WithEdgeDelta(exec_ins, exec_era);
         target = &next.renumbering_.graph;
       }
-      // Re-evaluate the attach policy against the new edge count (kAuto
-      // can cross its threshold in either direction across an update).
-      bool attach = false;
-      switch (next.options_.adjacency_index) {
-        case AdjacencyAccelMode::kOff:
-          break;
-        case AdjacencyAccelMode::kAuto:
-          attach = next.graph_->NumEdges() >= kAutoIndexMinEdges;
-          break;
-        case AdjacencyAccelMode::kForce:
-          attach = true;
-          break;
-      }
-      if (attach && target != nullptr) {
+      if (next.options_.adjacency_index != AdjacencyAccelMode::kOff &&
+          target != nullptr) {
         const AdjacencyIndex* prev_index =
             old.exec_graph_->adjacency_index();
         if (prev_index != nullptr) {

@@ -3,6 +3,7 @@
 // the EnumAlmostSat workspace — and, the load-bearing property, that every
 // registered algorithm delivers exactly the brute-force solution set with
 // acceleration engaged, sequentially and under --threads > 1.
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,14 +82,53 @@ TEST(AdjacencyIndex, RowConnCountMatchesConnCount) {
             g.ConnCount(Side::kLeft, 0, subset));
 }
 
-TEST(AdjacencyIndex, AutoThresholdSkipsSparseVertices) {
-  // 3-regular-ish graph: auto threshold is at least kMinAutoDegree = 16,
-  // so no rows are built.
-  BipartiteGraph g = MakeRandomGraph({20, 20, 0.12, 26});
+/// Circulant graph: left v is adjacent to right (v + j) mod n for j <
+/// degree(v).
+BipartiteGraph Circulant(size_t n,
+                         const std::function<size_t(VertexId)>& deg) {
+  std::vector<BipartiteGraph::Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (size_t j = 0; j < deg(v); ++j) {
+      edges.emplace_back(v, static_cast<VertexId>((v + j) % n));
+    }
+  }
+  return MakeGraph(n, n, std::move(edges));
+}
+
+TEST(AdjacencyIndex, AutoPlanGivesSmallGraphsOneWordRows) {
+  // 16 x 16, 8-regular: degree 8 is below the automatic threshold
+  // (kMinAutoDegree = 16), but a one-word row (8 bytes) is smaller than
+  // the 8-entry adjacency list (32 bytes), so every vertex gets one.
+  BipartiteGraph g = Circulant(16, [](VertexId) { return size_t{8}; });
   AdjacencyIndex index(g);
-  EXPECT_GE(index.min_degree(), AdjacencyIndex::kMinAutoDegree);
-  EXPECT_EQ(index.NumRows(Side::kLeft), 0u);
-  EXPECT_EQ(index.NumRows(Side::kRight), 0u);
+  EXPECT_EQ(index.min_degree(), AdjacencyIndex::kMinAutoDegree);
+  EXPECT_EQ(index.NumRows(Side::kLeft), 16u);
+  EXPECT_EQ(index.NumRows(Side::kRight), 16u);
+  EXPECT_EQ(index.MemoryBytes(), 32 * sizeof(uint64_t));
+  for (VertexId l = 0; l < 16; ++l) {
+    for (VertexId r = 0; r < 16; ++r) {
+      EXPECT_EQ(index.TestRow(Side::kLeft, l, r), g.HasEdge(l, r));
+      EXPECT_EQ(index.TestRow(Side::kRight, r, l), g.HasEdge(l, r));
+    }
+  }
+}
+
+TEST(AdjacencyIndex, AutoPlanKeepsTheDegreeRuleOnWideGraphs) {
+  // 500 per side: a dense row is 8 words (64 bytes), no smaller than an
+  // adjacency list of fewer than 16 entries, so exactly the vertices at
+  // the automatic threshold get rows.
+  BipartiteGraph g = Circulant(500, [](VertexId v) { return v % 24; });
+  AdjacencyIndex index(g);
+  ASSERT_EQ(index.min_degree(), AdjacencyIndex::kMinAutoDegree);
+  for (Side side : {Side::kLeft, Side::kRight}) {
+    size_t expect = 0;
+    for (VertexId v = 0; v < 500; ++v) {
+      const bool qualifies = g.Degree(side, v) >= index.min_degree();
+      EXPECT_EQ(index.HasRow(side, v), qualifies) << v;
+      expect += qualifies;
+    }
+    EXPECT_EQ(index.NumRows(side), expect);
+  }
 }
 
 TEST(AdjacencyIndex, InduceAndTransposePropagateTheIndex) {
@@ -383,6 +423,76 @@ TEST(AccelAgreement, EveryAlgorithmMatchesBruteForceUnderMemoryBudget) {
       std::vector<Biplex> par = CollectRequest(squeezed, par_req, &par_stats);
       ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
       ASSERT_EQ(par, expect) << name << " (threads=4) budget=" << budget;
+    }
+  }
+}
+
+/// One-word rows never change a result or a counter: on small dense
+/// graphs every backend gives the same solutions and work units with the
+/// rows attached at Prepare (kAuto), built by the engine (kOff), and all
+/// dropped by a 1-byte budget (CSR search everywhere), plain and
+/// renumbered.
+TEST(AccelAgreement, OneWordRowsChangeNoResultOrCounter) {
+  std::vector<BipartiteGraph> graphs;
+  graphs.push_back(Circulant(8, [](VertexId) { return size_t{5}; }));
+  graphs.push_back(MakeRandomGraph({7, 8, 0.7, 83}));
+  graphs.push_back(MakeRandomGraph({8, 6, 0.6, 84}));
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (bool renumber : {false, true}) {
+      const PrepareOptions configs[] = {
+          {.adjacency_index = AdjacencyAccelMode::kAuto,
+           .renumber = renumber},
+          {.adjacency_index = AdjacencyAccelMode::kOff, .renumber = renumber},
+          {.adjacency_index = AdjacencyAccelMode::kAuto,
+           .accel_budget_bytes = 1,
+           .renumber = renumber}};
+      std::vector<std::shared_ptr<const PreparedGraph>> prepared;
+      for (const PrepareOptions& options : configs) {
+        prepared.push_back(PreparedGraph::Prepare(graphs[gi], options));
+      }
+      const BipartiteGraph& exec = prepared[0]->ExecutionGraph();
+      ASSERT_NE(exec.adjacency_index(), nullptr);
+      for (Side side : {Side::kLeft, Side::kRight}) {
+        for (VertexId v = 0; v < exec.NumOnSide(side); ++v) {
+          EXPECT_EQ(exec.adjacency_index()->HasRow(side, v),
+                    exec.Degree(side, v) >= 2);
+        }
+      }
+      EXPECT_EQ(prepared[1]->ExecutionGraph().adjacency_index(), nullptr);
+      const AdjacencyIndex* dropped =
+          prepared[2]->ExecutionGraph().adjacency_index();
+      ASSERT_NE(dropped, nullptr);
+      EXPECT_EQ(dropped->MemoryBytes(), 0u);
+      for (int k : {1, 2}) {
+        for (const std::string& name : registry.Names()) {
+          EnumerateRequest req;
+          req.algorithm = name;
+          req.k = KPair::Uniform(k);
+          if (registry.Find(name)->requires_theta) {
+            req.theta_left = req.theta_right = static_cast<size_t>(k) + 1;
+          }
+          std::vector<Biplex> expect;
+          uint64_t expect_units = 0;
+          for (size_t ci = 0; ci < prepared.size(); ++ci) {
+            EnumerateStats stats;
+            std::vector<Biplex> got =
+                QuerySession(prepared[ci]).Collect(req, &stats);
+            ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
+            if (ci == 0) {
+              expect = std::move(got);
+              expect_units = stats.work_units;
+              continue;
+            }
+            EXPECT_EQ(got, expect) << name << " graph=" << gi << " k=" << k
+                                   << " renumber=" << renumber
+                                   << " config=" << ci;
+            EXPECT_EQ(stats.work_units, expect_units)
+                << name << " graph=" << gi << " k=" << k
+                << " renumber=" << renumber << " config=" << ci;
+          }
+        }
+      }
     }
   }
 }

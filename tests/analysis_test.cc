@@ -200,6 +200,19 @@ TEST(Fraud, BiplexDetectorFindsFraudBlock) {
   EXPECT_GT(m.recall, 0.9);
 }
 
+TEST(Fraud, BudgetStoppedDetectorsSaySo) {
+  FraudDataset data = SmallAttack(4);
+  EXPECT_TRUE(DetectByBiplex(data, 1, 4, 5).completed);
+  // One result, or a time budget that has expired by the first poll.
+  DetectionResult one = DetectByBiplex(data, 1, 4, 5, {.max_results = 1});
+  EXPECT_FALSE(one.completed);
+  EXPECT_EQ(one.subgraphs_found, 1u);
+  DetectionResult timed =
+      DetectByBiplex(data, 1, 4, 5, {.time_budget_seconds = 1e-9});
+  EXPECT_FALSE(timed.completed);
+  EXPECT_FALSE(DetectByBiclique(data, 4, 3, {.max_results = 1}).completed);
+}
+
 TEST(Fraud, AlphaBetaCoreHasHighRecallLowerPrecision) {
   FraudDataset data = SmallAttack(5);
   DetectionResult core = DetectByAlphaBetaCore(data, /*alpha=*/5,

@@ -161,12 +161,16 @@ TEST(PreparedGraphTest, BorrowNeverMutatesTheCallerGraph) {
   EXPECT_FALSE(borrowed->renumbered());
 }
 
-TEST(PreparedGraphTest, AutoIndexRespectsTheEngineThreshold) {
-  // Far below kAutoIndexMinEdges: kAuto must not attach an index.
+TEST(PreparedGraphTest, AutoAttachesOnSmallGraphs) {
+  // kAuto attaches whatever the edge count: a 6 x 6 graph gets one-word
+  // rows.
   BipartiteGraph small = MakeRandomGraph({6, 6, 0.5, 5});
-  ASSERT_LT(small.NumEdges(), kAutoIndexMinEdges);
   auto prepared = PreparedGraph::Prepare(std::move(small), {});
-  EXPECT_EQ(prepared->ExecutionGraph().adjacency_index(), nullptr);
+  const AdjacencyIndex* index = prepared->ExecutionGraph().adjacency_index();
+  ASSERT_NE(index, nullptr);
+  EXPECT_GT(index->NumRows(Side::kLeft) + index->NumRows(Side::kRight), 0u);
+  EXPECT_EQ(prepared->artifact_stats().adjacency_memory_bytes,
+            index->MemoryBytes());
 
   BipartiteGraph forced = MakeRandomGraph({6, 6, 0.5, 5});
   auto prepared_force = PreparedGraph::Prepare(

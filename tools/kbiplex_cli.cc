@@ -162,8 +162,8 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
 }
 
 /// The prepare-time artifact policy of the CLI: no flag leaves the graph
-/// exactly as loaded (engines may still build per-run indexes under their
-/// own kAuto policy, matching the pre-session CLI byte for byte); --accel
+/// exactly as loaded (engines still build a per-run index, matching the
+/// pre-session CLI byte for byte); --accel
 /// attaches the shared index unconditionally; --renumber enumerates on
 /// the degeneracy-renumbered graph with automatic map-back. The
 /// core-bound short-circuit stays off for the one-shot commands
