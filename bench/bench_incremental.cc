@@ -1,6 +1,6 @@
 // Incremental update benchmark: the cost of publishing a new epoch via
 // PreparedGraph::ApplyUpdates (CSR splice, patched adjacency index,
-// union-find component relabel, carried core bound) versus a full
+// carried core bound) versus a full
 // re-Prepare of the mutated edge list, at delta sizes of 0.1%, 1% and 10%
 // of the edges. Both paths end fully warmed (every artifact built), so
 // the speedup compares equal end states.
@@ -9,7 +9,7 @@
 // batches applied incrementally must enumerate the exact same sorted
 // solution set as a fresh Prepare of the final edge list, for every
 // backend in the registry, sequentially and with threads=4, under
-// renumbering + a forced adjacency index with a row budget that yields
+// renumbering + an attached adjacency index with a row budget that yields
 // mixed dense/sparse/dropped rows. Any divergence aborts the benchmark —
 // a fast wrong answer is not a result.
 //
@@ -46,14 +46,6 @@ std::vector<Edge> AllEdges(const BipartiteGraph& g) {
     for (VertexId r : g.LeftNeighbors(l)) edges.emplace_back(l, r);
   }
   return edges;
-}
-
-/// Builds every artifact of `p`. Warmup skips the component labeling,
-/// which no query reads, so it is built here explicitly: this bench times
-/// its union-find relabel against a fresh build.
-void WarmAll(const std::shared_ptr<const PreparedGraph>& p) {
-  p->Warmup();
-  p->Components();
 }
 
 /// A random delta against `g`: `deletes` existing edges and `inserts`
@@ -128,14 +120,13 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
 
   PrepareOptions prep;
   prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
   prep.adjacency_min_degree = 1;
   // A budget too small for all-dense rows: the patched index must
   // reproduce the planner's mixed dense/sparse/dropped layout.
   prep.accel_budget_bytes = 256;
 
   auto incremental = PreparedGraph::Prepare(BipartiteGraph(start), prep);
-  WarmAll(incremental);
+  incremental->Warmup();
   const int rounds = smoke ? 2 : 4;
   update::UpdateOptions opts;
   opts.max_delta_fraction = 1.0;  // stay on the incremental path
@@ -152,13 +143,13 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
       std::abort();
     }
     incremental = result.prepared;
-    WarmAll(incremental);
+    incremental->Warmup();
   }
 
   auto rebuilt = PreparedGraph::Prepare(
       BipartiteGraph::FromEdges(nl, nr, AllEdges(incremental->graph())),
       prep);
-  WarmAll(rebuilt);
+  rebuilt->Warmup();
 
   size_t cells = 0;
   for (const AlgorithmInfo& info : AlgorithmRegistry::Global().List()) {
@@ -221,8 +212,8 @@ void TimeFraction(const BipartiteGraph& base,
                    result.error.c_str());
       std::abort();
     }
-    WarmAll(result.prepared);  // no-op: the apply pre-populates, but be
-                               // honest and charge it to the timed region
+    result.prepared->Warmup();  // no-op: the apply pre-populates, but be
+                                // honest and charge it to the timed region
     inc_seconds = std::min(inc_seconds, t.ElapsedSeconds());
     epoch = result.prepared;
   }
@@ -244,7 +235,7 @@ void TimeFraction(const BipartiteGraph& base,
         BipartiteGraph::FromEdges(base.NumLeft(), base.NumRight(),
                                   std::move(edges)),
         prep);
-    WarmAll(rebuilt);
+    rebuilt->Warmup();
     full_seconds = std::min(full_seconds, t.ElapsedSeconds());
   }
 
@@ -290,19 +281,18 @@ int main(int argc, char** argv) {
   AgreementGate(smoke, &json);
 
   // Timing workload: a graph big enough that a full re-Prepare (edge sort,
-  // degeneracy renumber, index build, component BFS, core peel) costs
-  // measurable milliseconds, under the serving configuration (renumber +
-  // forced index under a memory budget, i.e. mixed compressed rows).
+  // degeneracy renumber, index build, core peel) costs measurable
+  // milliseconds, under the serving configuration (renumber + attached
+  // index under a memory budget, i.e. mixed compressed rows).
   const size_t nl = smoke ? 200 : 20000, nr = smoke ? 200 : 20000;
   const size_t ne = smoke ? 4000 : 1200000;
   Rng rng(99);
   const BipartiteGraph base = ErdosRenyiBipartite(nl, nr, ne, &rng);
   PrepareOptions prep;
   prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
   prep.accel_budget_bytes = smoke ? 64 * 1024 : 8 * 1024 * 1024;
   auto warmed = PreparedGraph::Prepare(BipartiteGraph(base), prep);
-  WarmAll(warmed);
+  warmed->Warmup();
 
   std::printf("\nincremental apply vs full re-Prepare, %zux%zu, %zu edges\n",
               base.NumLeft(), base.NumRight(), base.NumEdges());

@@ -82,7 +82,6 @@ void RunWorkload(const Workload& w, const std::vector<uint64_t>& execute_counts,
     // session path its full setup cost.
     WallTimer session_timer;
     PrepareOptions prep;
-    prep.adjacency_index = AdjacencyAccelMode::kForce;
     prep.renumber = true;
     auto prepared = PreparedGraph::Prepare(BipartiteGraph(plain), prep);
     prepared->Warmup();

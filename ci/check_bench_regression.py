@@ -29,6 +29,12 @@ from a code change. The hosts are printed only; they change no verdict.
 baseline status, without comparing anything; the CI job logs it first so
 a "no perf regressions" verdict always shows what was actually checked.
 
+`--self-test` runs this script against throwaway two-commit git repos in
+a temp dir and checks its verdicts: a +60% wall_seconds record fails, a
++40% one passes, duplicate record names fail, a missing baseline is
+skipped and differing host blocks are printed. CI runs it first so a
+broken gate can never pass vacuously.
+
 Exit status: 1 when any matched record regressed beyond tolerance or any
 file repeats a record name.
 """
@@ -37,8 +43,10 @@ import argparse
 import collections
 import glob
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 TOLERANCE = 0.50  # fail only on >50% regressions; CI runners are noisy
 MIN_SECONDS = 0.01  # ignore records too fast to measure reliably
@@ -181,12 +189,89 @@ def list_files(paths):
     return 0
 
 
+def bench_doc(records, host=None):
+    doc = {"records": [{"name": n, "wall_seconds": s} for n, s in records]}
+    if host is not None:
+        doc["host"] = host
+    return doc
+
+
+def run_gate_on_commits(tmp, baseline, head):
+    """Commits `baseline` then `head` (each a {path: doc} map) into a new
+    git repo under `tmp`, runs this script there and returns (exit code,
+    stdout)."""
+    repo = tempfile.mkdtemp(dir=tmp)
+    env = dict(os.environ, GIT_AUTHOR_NAME="self-test",
+               GIT_AUTHOR_EMAIL="self-test@localhost",
+               GIT_COMMITTER_NAME="self-test",
+               GIT_COMMITTER_EMAIL="self-test@localhost")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "commit.gpgsign=false", *args],
+                       cwd=repo, env=env, check=True, capture_output=True)
+
+    git("init", "-q")
+    for files in (baseline, head):
+        with open(os.path.join(repo, "README"), "a") as f:
+            f.write("commit\n")  # every commit has something to record
+        for path, doc in files.items():
+            with open(os.path.join(repo, path), "w") as f:
+                json.dump(doc, f)
+        git("add", "-A")
+        git("commit", "-q", "-m", "self-test")
+    done = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                          cwd=repo, capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def self_test():
+    slow = [("cell", 1.0)]
+    cases = [
+        ("+60% wall_seconds fails", {"BENCH_a.json": bench_doc(slow)},
+         {"BENCH_a.json": bench_doc([("cell", 1.6)])}, 1,
+         ["wall_seconds 1.0000 -> 1.6000"]),
+        ("+40% wall_seconds passes", {"BENCH_a.json": bench_doc(slow)},
+         {"BENCH_a.json": bench_doc([("cell", 1.4)])}, 0, ["OK"]),
+        ("duplicate record names fail", {"BENCH_a.json": bench_doc(slow)},
+         {"BENCH_a.json": bench_doc([("cell", 1.0), ("cell", 1.0)])}, 1,
+         ["duplicate record names cell"]),
+        ("missing baseline is skipped", {},
+         {"BENCH_a.json": bench_doc([("cell", 9.0)])}, 0, ["SKIPPED"]),
+        ("differing hosts are printed",
+         {"BENCH_a.json": bench_doc(slow, {"cpu": "old-host"})},
+         {"BENCH_a.json": bench_doc(slow, {"cpu": "new-host"})}, 0,
+         ["host changed", "old-host", "new-host"]),
+    ]
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, baseline, head, want_code, want_text in cases:
+            code, out = run_gate_on_commits(tmp, baseline, head)
+            if code != want_code:
+                failures.append(f"{name}: exit {code}, expected {want_code}"
+                                f"\n{out}")
+            for text in want_text:
+                if text not in out:
+                    failures.append(f"{name}: output lacks {text!r}\n{out}")
+    if failures:
+        print("self-test FAILED:")
+        for f in failures:
+            print(f"  {f}")
+        return 1
+    print("self-test passed: " + "; ".join(c[0] for c in cases))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--list", action="store_true",
                         help="list tracked bench files and baseline status "
                              "without comparing")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the gate's verdicts on throwaway git "
+                             "repos")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
     paths = tracked_bench_files()
     if args.list:
         return list_files(paths)

@@ -1,6 +1,6 @@
 // Multi-query serving with the prepare/execute API: load (or synthesize)
 // a graph once, prepare it (attached adjacency index + degeneracy
-// renumbering + cached component/core artifacts), then answer a batch of
+// renumbering + cached core bound), then answer a batch of
 // different queries through one QuerySession — the pattern a k-biplex
 // service uses to amortize preprocessing over its query stream.
 //
@@ -34,11 +34,10 @@ int main(int argc, char** argv) {
   std::cout << "Graph: |L| = " << g.NumLeft() << ", |R| = " << g.NumRight()
             << ", |E| = " << g.NumEdges() << "\n";
 
-  // Prepare once. kForce attaches the hybrid bitset adjacency index
-  // unconditionally; renumber = true enumerates on the degeneracy order
+  // Prepare once. The default policy attaches the hybrid bitset adjacency
+  // index; renumber = true enumerates on the degeneracy order
   // (cache-friendly) with automatic map-back to input ids.
   PrepareOptions prep;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
   prep.renumber = true;
   auto prepared = PreparedGraph::Prepare(std::move(g), prep);
   prepared->Warmup();  // build the query artifacts now, not on first query

@@ -1,6 +1,7 @@
 #include "api/enumerate_stats.h"
 
 #include <sstream>
+#include <utility>
 
 #include "util/json.h"
 
@@ -9,6 +10,13 @@ namespace kbiplex {
 using json::AppendDouble;
 using json::AppendEscaped;
 using json::Bool;
+
+EnumerateStats RejectedStats(std::string message) {
+  EnumerateStats out;
+  out.error = std::move(message);
+  out.completed = false;
+  return out;
+}
 
 std::string EnumerateStats::ToJson() const {
   std::ostringstream os;

@@ -84,6 +84,9 @@ struct EnumerateStats {
   std::string ToJson() const;
 };
 
+/// The stats of a rejected request: `error` = `message`, not completed.
+EnumerateStats RejectedStats(std::string message);
+
 }  // namespace kbiplex
 
 #endif  // KBIPLEX_API_ENUMERATE_STATS_H_

@@ -104,13 +104,6 @@ class OptionReader {
   std::string error_;
 };
 
-EnumerateStats Rejected(std::string message) {
-  EnumerateStats out;
-  out.error = std::move(message);
-  out.completed = false;
-  return out;
-}
-
 /// The facade-side delivery wrapper every backend routes solutions
 /// through: enforces the size thresholds and max_results uniformly, even
 /// for backends whose native options lack one of the knobs. A solution
@@ -172,10 +165,10 @@ class TraversalBackend final : public AlgorithmBackend {
     reader.TakeBool("polynomial_delay_output",
                     &opts.polynomial_delay_output);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return RejectedStats(std::move(err));
     }
     if (opts.local_impl == LocalEnumImpl::kInflation && !req.k.IsUniform()) {
-      return Rejected("local_impl=inflation requires uniform budgets");
+      return RejectedStats("local_impl=inflation requires uniform budgets");
     }
 
     Delivery delivery{req, sink};
@@ -208,7 +201,7 @@ class LargeMbpBackend final : public AlgorithmBackend {
                      SolutionSink* sink) override {
     if (std::string err = OptionReader(req.backend_options).Finish();
         !err.empty()) {
-      return Rejected(std::move(err));
+      return RejectedStats(std::move(err));
     }
     EnumerateStats out =
         TraversalBackend(MakeITraversalOptions(1)).Run(ctx, req, sink);
@@ -238,7 +231,7 @@ class ImbBackend final : public AlgorithmBackend {
 
     OptionReader reader(req.backend_options);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return RejectedStats(std::move(err));
     }
 
     Delivery delivery{req, sink};
@@ -275,7 +268,7 @@ class InflationBackend final : public AlgorithmBackend {
     OptionReader reader(req.backend_options);
     reader.TakeSize("max_inflated_edges", &opts.max_inflated_edges);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return RejectedStats(std::move(err));
     }
 
     Delivery delivery{req, sink};
@@ -302,7 +295,7 @@ class BruteForceBackend final : public AlgorithmBackend {
     const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
     OptionReader reader(req.backend_options);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return RejectedStats(std::move(err));
     }
 
     WallTimer timer;

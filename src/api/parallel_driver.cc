@@ -156,13 +156,6 @@ void RunShards(size_t threads, size_t n, ErrorCollector* errors,
   pool.Wait();
 }
 
-EnumerateStats RejectedStats(std::string message) {
-  EnumerateStats out;
-  out.error = std::move(message);
-  out.completed = false;
-  return out;
-}
-
 /// Rejects requests carrying options for backends that define none (the
 /// parallel plans below bypass the backend classes and drive the engines
 /// directly, so they mirror the sequential unknown-key rejection).
@@ -214,6 +207,32 @@ EnumerateStats MergeShardStats(std::vector<EnumerateStats> shards) {
     }
   }
   return out;
+}
+
+/// The stats of a shard the time budget skipped before it started: not
+/// completed, with the detail block `algorithm` reports engaged (the
+/// traversal block for the traversal family). Without it the merged
+/// stats' JSON schema would depend on which shards the expiring budget
+/// happened to hit. A skipped large-mbp shard still reports the size of
+/// the graph it would have traversed.
+EnumerateStats SkippedShardStats(const std::string& algorithm,
+                                 const BipartiteGraph& shard) {
+  EnumerateStats s;
+  s.completed = false;
+  if (algorithm == "imb") {
+    s.imb.emplace();
+    s.imb->completed = false;
+  } else if (algorithm == "inflation") {
+    s.inflation.emplace();
+    s.inflation->completed = false;
+  } else if (algorithm == "large-mbp") {
+    s.large_mbp = LargeMbpStats{{}, shard.NumLeft(), shard.NumRight()};
+    s.large_mbp->traversal.completed = false;
+  } else {
+    s.traversal.emplace();
+    s.traversal->completed = false;
+  }
+  return s;
 }
 
 /// Splits [0, total) into `chunks` near-equal contiguous ranges.
@@ -297,12 +316,7 @@ EnumerateStats RunRoots(const BipartiteGraph& g,
     opts.theta_right = request.theta_right;
     opts.max_results = request.max_results;
     if (!RemainingBudget(request, timer, &opts.time_budget_seconds)) {
-      // A skipped shard must still carry the imb detail block: otherwise
-      // the merged stats' JSON schema would depend on which shard the
-      // expiring budget happened to hit first.
-      shard_stats[i].completed = false;
-      shard_stats[i].imb.emplace();
-      shard_stats[i].imb->completed = false;
+      shard_stats[i] = SkippedShardStats("imb", g);
       return;
     }
     opts.cancel = &stop;
@@ -435,7 +449,7 @@ EnumerateStats RunComponents(const QueryContext& ctx,
     shard_request.threads = 1;
     if (!RemainingBudget(request, timer,
                          &shard_request.time_budget_seconds)) {
-      shard_stats[i].completed = false;
+      shard_stats[i] = SkippedShardStats(info.name, shards[i].graph);
       return;
     }
     MappingSink mapping(&delivery, shards[i]);

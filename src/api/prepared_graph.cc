@@ -123,18 +123,8 @@ const RenumberedGraph& PreparedGraph::Renumbering() const {
   return renumbering_;
 }
 
-const ComponentLabeling& PreparedGraph::Components() const {
-  std::call_once(components_once_, [this] {
-    // Resolve the execution graph before starting the timer so a lazily
-    // triggered renumber/index build is not double-counted here.
-    const BipartiteGraph& g = ExecutionGraph();
-    WallTimer timer;
-    components_ = LabelConnectedComponents(g);
-    counters_.Count(&PrepareArtifactStats::component_builds,
-                    timer.ElapsedSeconds());
-    components_built_.store(true, std::memory_order_release);
-  });
-  return components_;
+ComponentLabeling PreparedGraph::Components() const {
+  return LabelConnectedComponents(ExecutionGraph());
 }
 
 size_t PreparedGraph::MaxUniformCore() const {
@@ -161,7 +151,6 @@ PrepareArtifactStats PreparedGraph::artifact_stats() const {
 std::string PrepareArtifactStats::ToJson() const {
   std::ostringstream os;
   os << "{\"execution_graph_builds\":" << execution_graph_builds
-     << ",\"component_builds\":" << component_builds
      << ",\"core_bound_builds\":" << core_bound_builds
      << ",\"build_seconds\":";
   json::AppendDouble(os, build_seconds);

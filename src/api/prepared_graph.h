@@ -3,8 +3,7 @@
 // preprocessing artifacts its queries read — the hybrid bitset adjacency
 // index, the degeneracy renumbering (solutions are mapped back to input
 // ids automatically) and a core-decomposition bound that lets
-// provably-empty queries answer instantly — plus a connected-component
-// labeling for callers that ask for it. Artifacts are built lazily, at
+// provably-empty queries answer instantly. Artifacts are built lazily, at
 // most once, and are safe to consume from any number of concurrent
 // QuerySessions (api/query_session.h):
 //
@@ -55,8 +54,6 @@ enum class AdjacencyAccelMode : uint8_t {
   /// Never attach. Engines still build their own per-run index on the
   /// graph they traverse.
   kOff,
-  /// Always attach; the same as kAuto.
-  kForce,
 };
 
 /// Which artifacts a PreparedGraph applies to its execution graph.
@@ -95,7 +92,6 @@ struct PrepareOptions {
 /// sessions raced to request it.
 struct PrepareArtifactStats {
   int execution_graph_builds = 0;  // renumbering and/or index attach
-  int component_builds = 0;
   int core_bound_builds = 0;
   double build_seconds = 0;  // total time spent inside artifact builds
 
@@ -127,10 +123,10 @@ struct UpdateLineage {
   uint64_t edges_deleted = 0;      // cumulative real deletes
   uint64_t full_rebuilds = 0;      // applies past the staleness threshold
   /// Artifacts carried across an epoch boundary by patching (spliced
-  /// CSR + reused permutation, patched index rows, union-find/dirty-BFS
-  /// component relabel, carried core bound) vs artifacts an apply
-  /// invalidated outright — they rebuild from scratch, eagerly or on
-  /// first use (a full rebuild invalidates every built artifact).
+  /// CSR + reused permutation, patched index rows, carried core bound)
+  /// vs artifacts an apply invalidated outright — they rebuild from
+  /// scratch, eagerly or on first use (a full rebuild invalidates every
+  /// built artifact).
   uint64_t artifacts_incremental = 0;
   uint64_t artifacts_rebuilt = 0;
   double apply_seconds = 0;  // total wall time inside ApplyUpdates
@@ -183,9 +179,11 @@ class PreparedGraph {
   /// The id maps of the renumbered execution graph. Requires renumbered().
   const RenumberedGraph& Renumbering() const;
 
-  /// Connected-component labeling of the execution graph (carried across
-  /// update epochs). Built on first call, then cached; thread-safe.
-  const ComponentLabeling& Components() const;
+  /// Connected-component labeling of the execution graph, computed on
+  /// every call: no query reads it (the execution plan labels the
+  /// request's peeled core itself, api/parallel_driver.h), so nothing is
+  /// cached.
+  ComponentLabeling Components() const;
 
   /// The largest a such that the (a,a)-core of the graph is non-empty
   /// (0 for an edgeless graph). Any k-biplex whose thresholds demand
@@ -193,9 +191,8 @@ class PreparedGraph {
   /// such queries instantly. Built on first call, then cached.
   size_t MaxUniformCore() const;
 
-  /// Builds every artifact a query reads now (prepare-heavy,
-  /// execute-light servers): the execution graph and the core bound, not
-  /// the component labeling, which no query path reads.
+  /// Builds every artifact now (prepare-heavy, execute-light servers):
+  /// the execution graph and the core bound.
   void Warmup() const;
 
   /// Snapshot of the artifact build counters.
@@ -212,11 +209,11 @@ class PreparedGraph {
   /// success the result carries a new immutable PreparedGraph at epoch
   /// N+1 with the same PrepareOptions. Artifacts this epoch already built
   /// are carried into the successor incrementally — spliced CSR rows,
-  /// the reused degeneracy permutation, patched adjacency-index rows,
-  /// union-find + dirty-component relabeling, a monotone core bound —
-  /// unless the delta exceeds options.max_delta_fraction of the edge
-  /// count, in which case the successor is rebuilt from scratch (lazy
-  /// artifacts, like a fresh Prepare). Borrowed graphs reject updates.
+  /// the reused degeneracy permutation, patched adjacency-index rows, a
+  /// monotone core bound — unless the delta exceeds
+  /// options.max_delta_fraction of the edge count, in which case the
+  /// successor is rebuilt from scratch (lazy artifacts, like a fresh
+  /// Prepare). Borrowed graphs reject updates.
   /// Thread-safe against concurrent queries; concurrent ApplyUpdates
   /// calls on the same instance are safe but produce sibling epochs —
   /// serialize updates per graph (the serving registry does) to keep a
@@ -288,9 +285,6 @@ class PreparedGraph {
   mutable RenumberedGraph renumbering_;        // engaged iff options_.renumber
   mutable const BipartiteGraph* exec_graph_ = nullptr;
 
-  mutable std::once_flag components_once_;
-  mutable ComponentLabeling components_;
-
   mutable std::once_flag core_bound_once_;
   mutable size_t max_uniform_core_ = 0;
 
@@ -301,7 +295,6 @@ class PreparedGraph {
   // the predecessor never performed. Same publication invariant as the
   // artifact members above.
   mutable std::atomic<bool> exec_built_{false};
-  mutable std::atomic<bool> components_built_{false};
   mutable std::atomic<bool> core_bound_built_{false};
 
   // Epoch chain history; written only between construction and

@@ -11,13 +11,6 @@
 namespace kbiplex {
 namespace {
 
-EnumerateStats Rejected(std::string message) {
-  EnumerateStats out;
-  out.error = std::move(message);
-  out.completed = false;
-  return out;
-}
-
 /// Translates execution-graph ids back to input-graph ids before
 /// forwarding to the caller's sink. Stateless apart from the forwarding
 /// targets, so it inherits the inner sink's threading contract.
@@ -72,8 +65,8 @@ EnumerateStats QuerySession::Run(const EnumerateRequest& request,
       if (!names.empty()) names += ", ";
       names += n;
     }
-    EnumerateStats out = Rejected("unknown algorithm '" + request.algorithm +
-                                  "'; registered: " + names);
+    EnumerateStats out = RejectedStats(
+        "unknown algorithm '" + request.algorithm + "'; registered: " + names);
     out.algorithm = name;
     return out;
   }
@@ -81,32 +74,34 @@ EnumerateStats QuerySession::Run(const EnumerateRequest& request,
   const BipartiteGraph& exec = prepared.ExecutionGraph();
   EnumerateStats out;
   if (request.k.left < 1 || request.k.right < 1) {
-    out = Rejected("disconnection budgets must be >= 1");
+    out = RejectedStats("disconnection budgets must be >= 1");
   } else if (request.threads < 0) {
-    out = Rejected("threads must be >= 0 (0 = one per hardware thread)");
+    out = RejectedStats(
+        "threads must be >= 0 (0 = one per hardware thread)");
   } else if (request.threads != 1 && !sink->ThreadCompatible()) {
     // Deterministic contract check: any request asking for parallel
     // delivery is rejected with an incompatible sink, even when the
     // driver would have fallen back to the sequential path — whether a
     // parallel plan engages depends on the graph and the hardware, and a
     // sink contract must not.
-    out = Rejected(
+    out = RejectedStats(
         "threads = " + std::to_string(request.threads) +
         " asks for delivery from worker threads, but the sink does "
         "not declare thread compatibility; wrap it in SynchronizedSink or "
         "override SolutionSink::ThreadCompatible() (see "
         "api/solution_sink.h)");
   } else if (!info->supports_asymmetric_k && !request.k.IsUniform()) {
-    out = Rejected("algorithm '" + name +
-                   "' requires uniform budgets (k.left == k.right)");
+    out = RejectedStats("algorithm '" + name +
+                        "' requires uniform budgets (k.left == k.right)");
   } else if (info->requires_theta &&
              (request.theta_left < 1 || request.theta_right < 1)) {
-    out = Rejected("algorithm '" + name +
-                   "' requires theta_left >= 1 and theta_right >= 1");
+    out = RejectedStats("algorithm '" + name +
+                        "' requires theta_left >= 1 and theta_right >= 1");
   } else if (info->max_side != 0 && (exec.NumLeft() > info->max_side ||
                                      exec.NumRight() > info->max_side)) {
-    out = Rejected("algorithm '" + name + "' supports at most " +
-                   std::to_string(info->max_side) + " vertices per side");
+    out = RejectedStats("algorithm '" + name + "' supports at most " +
+                        std::to_string(info->max_side) +
+                        " vertices per side");
   } else if (Cancelled(request.cancellation)) {
     out.completed = false;
     out.cancelled = true;

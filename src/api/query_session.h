@@ -1,8 +1,8 @@
 // The "execute" half of the prepare/execute API: a QuerySession runs many
 // EnumerateRequests against one PreparedGraph, reusing the prepared
-// artifacts (attached adjacency index, renumbering, component labeling,
-// core bounds) and carrying engine scratch — the recursion-frame arena and
-// the EnumAlmostSat workspace — across queries so steady-state query
+// artifacts (attached adjacency index, renumbering, core bound) and
+// carrying engine scratch — the recursion-frame arena and the
+// EnumAlmostSat workspace — across queries so steady-state query
 // execution allocates almost nothing.
 //
 // A session is NOT thread-safe: it owns mutable scratch, so use one

@@ -331,7 +331,6 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
   }
   if (cmd.op == "load") {
     PrepareOptions prepare = options_.prepare;
-    if (cmd.accel) prepare.adjacency_index = AdjacencyAccelMode::kForce;
     if (cmd.renumber) prepare.renumber = true;
     if (cmd.accel_budget != 0) {
       prepare.accel_budget_bytes = static_cast<size_t>(cmd.accel_budget);

@@ -40,10 +40,7 @@ std::string SerializeId(const json::JsonValue* v) {
 std::string ParseLoadOptions(const json::JsonValue& v, WireCommand* cmd) {
   if (!v.is_object()) return "'options' must be an object";
   for (const auto& [key, value] : v.AsObject()) {
-    if (key == "accel") {
-      if (!value.is_bool()) return "load option 'accel' must be a bool";
-      cmd->accel = value.AsBool();
-    } else if (key == "renumber") {
+    if (key == "renumber") {
       if (!value.is_bool()) return "load option 'renumber' must be a bool";
       cmd->renumber = value.AsBool();
     } else if (key == "accel_budget") {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "util/timer.h"
 
@@ -38,94 +39,6 @@ size_t MaxDegree(const BipartiteGraph& g) {
 }
 
 }  // namespace
-
-ComponentLabeling IncrementalRelabel(const BipartiteGraph& new_graph,
-                                     const ComponentLabeling& old,
-                                     const std::vector<Edge>& insert,
-                                     const std::vector<Edge>& erase) {
-  const size_t nl = new_graph.NumLeft();
-  const size_t nr = new_graph.NumRight();
-  ComponentLabeling out;
-  out.left.assign(nl, -1);
-  out.right.assign(nr, -1);
-  if (old.num_components == 0) return out;  // empty vertex sets
-
-  // Union-find over the old component ids; every inserted edge merges the
-  // two old components of its endpoints.
-  std::vector<int> parent(old.num_components);
-  for (int i = 0; i < old.num_components; ++i) parent[i] = i;
-  const auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];  // path halving
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const Edge& e : insert) {
-    const int a = find(old.left[e.first]);
-    const int b = find(old.right[e.second]);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-
-  // Deletes may split a component; mark the merged root of every deleted
-  // endpoint dirty. Clean vertices keep their merged root as a
-  // provisional label; dirty vertices are relabeled by BFS on the new
-  // graph. The BFS cannot reach a clean vertex: a surviving old edge
-  // keeps both endpoints in one old component (same merged root, same
-  // dirtiness), and an inserted edge was just unioned.
-  std::vector<char> dirty(old.num_components, 0);
-  for (const Edge& e : erase) {
-    dirty[find(old.left[e.first])] = 1;
-    dirty[find(old.right[e.second])] = 1;
-  }
-  for (VertexId l = 0; l < nl; ++l) {
-    const int root = find(old.left[l]);
-    if (dirty[root] == 0) out.left[l] = root;
-  }
-  for (VertexId r = 0; r < nr; ++r) {
-    const int root = find(old.right[r]);
-    if (dirty[root] == 0) out.right[r] = root;
-  }
-  int next_label = old.num_components;  // provisional ids above old roots
-  std::vector<std::pair<Side, VertexId>> frontier;
-  const auto bfs_from = [&](Side side, VertexId seed) {
-    const int comp = next_label++;
-    (side == Side::kLeft ? out.left : out.right)[seed] = comp;
-    frontier.assign(1, {side, seed});
-    while (!frontier.empty()) {
-      auto [s, v] = frontier.back();
-      frontier.pop_back();
-      for (VertexId u : new_graph.Neighbors(s, v)) {
-        std::vector<int>& marks = s == Side::kLeft ? out.right : out.left;
-        if (marks[u] != -1) continue;
-        marks[u] = comp;
-        frontier.emplace_back(Opposite(s), u);
-      }
-    }
-  };
-  for (VertexId l = 0; l < nl; ++l) {
-    if (out.left[l] == -1) bfs_from(Side::kLeft, l);
-  }
-  for (VertexId r = 0; r < nr; ++r) {
-    if (out.right[r] == -1) bfs_from(Side::kRight, r);
-  }
-
-  // Canonical renumber: first appearance in the left-then-right scan is
-  // the order LabelConnectedComponents seeds its BFS, so the final
-  // numbering matches a from-scratch labeling exactly.
-  std::vector<int> canon(next_label, -1);
-  for (VertexId l = 0; l < nl; ++l) {
-    int& c = canon[out.left[l]];
-    if (c < 0) c = out.num_components++;
-    out.left[l] = c;
-  }
-  for (VertexId r = 0; r < nr; ++r) {
-    int& c = canon[out.right[r]];
-    if (c < 0) c = out.num_components++;
-    out.right[r] = c;
-  }
-  return out;
-}
 
 /// Friend of PreparedGraph: builds successor epochs through the private
 /// constructor, stamping the lineage and pre-populating the carried
@@ -166,8 +79,6 @@ struct EpochBuilder {
         old.graph().WithEdgeDelta(delta.insert, delta.erase), old.options_));
 
     const bool old_exec = old.exec_built_.load(std::memory_order_acquire);
-    const bool old_components =
-        old.components_built_.load(std::memory_order_acquire);
     const bool old_core =
         old.core_bound_built_.load(std::memory_order_acquire);
 
@@ -176,9 +87,7 @@ struct EpochBuilder {
       // built is invalidated and rebuilds from scratch (lazily, exactly
       // like a fresh Prepare).
       lineage.full_rebuilds += 1;
-      lineage.artifacts_rebuilt += (old_exec ? 1 : 0) +
-                                   (old_components ? 1 : 0) +
-                                   (old_core ? 1 : 0);
+      lineage.artifacts_rebuilt += (old_exec ? 1 : 0) + (old_core ? 1 : 0);
       out.rebuilt = true;
     } else {
       // The delta in execution-graph ids: identical to the input-space
@@ -199,18 +108,6 @@ struct EpochBuilder {
 
       if (old_exec) {
         PatchExecutionGraph(old, *next, exec_ins, exec_era);
-        lineage.artifacts_incremental += 1;
-      }
-      if (old_components) {
-        std::call_once(next->components_once_, [&] {
-          const BipartiteGraph& g = next->ExecutionGraph();
-          WallTimer t;
-          next->components_ =
-              IncrementalRelabel(g, old.components_, exec_ins, exec_era);
-          next->counters_.Count(&PrepareArtifactStats::component_builds,
-                                t.ElapsedSeconds());
-          next->components_built_.store(true, std::memory_order_release);
-        });
         lineage.artifacts_incremental += 1;
       }
       if (old_core) {

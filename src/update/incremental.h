@@ -12,9 +12,6 @@
 //   - adjacency index: the deterministic budget planner re-runs over the
 //     new degrees, and every row the delta did not touch is copied
 //     byte-for-byte from the previous epoch's index;
-//   - component labeling: union-find merge over the old labels for
-//     inserts; deletes mark the touched merged components dirty and only
-//     the dirty region is re-BFSed (the BFS provably cannot escape it);
 //   - (a,a)-core bound: deletes only shrink the degeneracy, so the old
 //     bound stays a sound upper bound; inserts raise it by at most one
 //     each, and the carried bound min(old + inserts, max degree) stays
@@ -30,11 +27,8 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "api/prepared_graph.h"
-#include "graph/bipartite_graph.h"
-#include "graph/components.h"
 #include "update/update_batch.h"
 
 namespace kbiplex {
@@ -69,23 +63,6 @@ struct UpdateResult {
 
   bool ok() const { return error.empty(); }
 };
-
-/// Incremental connected-component relabeling: the labeling of
-/// `new_graph` (== the graph `old` labels plus `insert` minus `erase`,
-/// both sorted by (left, right)) computed from `old` in O(|V| + delta +
-/// |dirty region|) instead of a full O(|V| + |E|) BFS. Inserts merge old
-/// components through a union-find; deletes mark every merged component
-/// containing a deleted endpoint dirty, and only dirty vertices are
-/// re-BFSed on the new graph — a new-graph edge never joins a dirty
-/// vertex to a clean one (old edges share an old component, inserted
-/// edges were unioned), so the BFS stays inside the dirty region. The
-/// result renumbers components by first appearance in the
-/// left-scan-then-right-scan order, reproducing LabelConnectedComponents'
-/// numbering exactly. Exposed for the fuzz tests.
-ComponentLabeling IncrementalRelabel(
-    const BipartiteGraph& new_graph, const ComponentLabeling& old,
-    const std::vector<BipartiteGraph::Edge>& insert,
-    const std::vector<BipartiteGraph::Edge>& erase);
 
 }  // namespace update
 }  // namespace kbiplex

@@ -347,7 +347,7 @@ TEST(ConcurrencyStress, InterleavedSessionsRaceLazyArtifactsOnce) {
   ASSERT_TRUE(loaded.ok());
   PrepareOptions prepare;
   prepare.renumber = true;
-  prepare.adjacency_index = AdjacencyAccelMode::kForce;
+  prepare.adjacency_index = AdjacencyAccelMode::kAuto;
   auto prepared = PreparedGraph::Prepare(std::move(*loaded.graph), prepare);
 
   EnumerateRequest request;
@@ -393,7 +393,6 @@ TEST(ConcurrencyStress, InterleavedSessionsRaceLazyArtifactsOnce) {
   // However many sessions raced, each artifact was built at most once.
   const PrepareArtifactStats stats = prepared->artifact_stats();
   EXPECT_LE(stats.execution_graph_builds, 1);
-  EXPECT_EQ(stats.component_builds, 1);  // the case-1 threads; not Warmup
   EXPECT_LE(stats.core_bound_builds, 1);
   EXPECT_EQ(stats.execution_graph_builds, 1);  // someone touched it
 }

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -779,6 +780,67 @@ TEST(ParallelImb, BudgetExpiredRunKeepsStatsSchema) {
   // Golden property: identical JSON schema regardless of thread count.
   EXPECT_EQ(JsonKeys(par.ToJson()), JsonKeys(seq.ToJson()))
       << "seq: " << seq.ToJson() << "\npar: " << par.ToJson();
+}
+
+// Regression: a component-plan shard skipped because the time budget
+// expired before it started carried no detail block, so a budget-expired
+// run dropped the "traversal", "large_mbp" or "inflation" block that
+// every other run of the backend carries — on two shards and on the one
+// peeled-core shard of the toy graph alike.
+TEST(ComponentPlan, BudgetSkippedShardsKeepTheBackendBlock) {
+  std::vector<BipartiteGraph::Edge> edges;
+  for (VertexId offset : {0u, 5u}) {  // two disjoint 5 x 5 bicliques
+    for (VertexId l = 0; l < 5; ++l) {
+      for (VertexId r = 0; r < 5; ++r) {
+        edges.emplace_back(offset + l, offset + r);
+      }
+    }
+  }
+  const BipartiteGraph two =
+      BipartiteGraph::FromEdges(10, 10, std::move(edges));
+  LoadResult toy = LoadEdgeList(KBIPLEX_SOURCE_DIR "/ci/toy_graph.txt");
+  ASSERT_TRUE(toy.ok()) << toy.error;
+  const std::pair<const BipartiteGraph*, const char*> graphs[] = {
+      {&two, "components"}, {&*toy.graph, "sequential"}};
+  for (const auto& [graph, plan] : graphs) {
+    QuerySession session(PreparedGraph::Borrow(*graph));
+    for (const char* name :
+         {"itraversal", "btraversal", "large-mbp", "inflation"}) {
+      for (int threads : {1, 2}) {
+        EnumerateRequest req;
+        req.algorithm = name;
+        req.theta_left = 3;
+        req.theta_right = 3;
+        req.threads = threads;
+        EnumerateStats full;
+        session.Count(req, &full);
+        ASSERT_TRUE(full.ok()) << name << ": " << full.error;
+        req.time_budget_seconds = 1e-9;  // spent by the peel
+        EnumerateStats skipped;
+        session.Count(req, &skipped);
+        ASSERT_TRUE(skipped.ok()) << name << ": " << skipped.error;
+        EXPECT_FALSE(skipped.completed) << name;
+        EXPECT_EQ(skipped.solutions, 0u) << name;
+        ASSERT_TRUE(skipped.plan.has_value()) << name;
+        EXPECT_EQ(skipped.plan->name, plan) << name;
+        EXPECT_EQ(skipped.plan->shards, full.plan->shards) << name;
+        EXPECT_EQ(JsonKeys(skipped.ToJson()), JsonKeys(full.ToJson()))
+            << "full: " << full.ToJson()
+            << "\nskipped: " << skipped.ToJson();
+        if (skipped.large_mbp) {
+          EXPECT_FALSE(skipped.large_mbp->traversal.completed);
+          EXPECT_EQ(skipped.large_mbp->core_left, full.large_mbp->core_left);
+          EXPECT_EQ(skipped.large_mbp->core_right, full.large_mbp->core_right);
+        }
+        if (skipped.traversal) {
+          EXPECT_FALSE(skipped.traversal->completed);
+        }
+        if (skipped.inflation) {
+          EXPECT_FALSE(skipped.inflation->completed);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -166,6 +166,25 @@ TEST(WireCommandTest, ParsesQueryAndRejectsUnknownKeysPerOp) {
             "");  // emit has two spellings only
 }
 
+TEST(WireCommandTest, LoadRejectsUnknownOptions) {
+  serve::WireCommand cmd;
+  ASSERT_EQ(serve::ParseCommand(
+                "{\"op\":\"load\",\"name\":\"g\",\"path\":\"p\","
+                "\"options\":{\"renumber\":true,\"accel_budget\":4096}}",
+                &cmd),
+            "");
+  EXPECT_TRUE(cmd.renumber);
+  EXPECT_EQ(cmd.accel_budget, 4096u);
+
+  // The index attaches by default, so there is no option to force it.
+  serve::WireCommand bad;
+  EXPECT_EQ(serve::ParseCommand(
+                "{\"op\":\"load\",\"name\":\"g\",\"path\":\"p\","
+                "\"options\":{\"accel\":true}}",
+                &bad),
+            "unknown load option 'accel'");
+}
+
 TEST(WireCommandTest, ResponseLinesAreWellFormedJson) {
   Biplex b;
   b.left = {1, 2};

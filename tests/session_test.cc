@@ -50,7 +50,6 @@ TEST(PreparedGraphTest, ArtifactsBuildLazilyAndOnce) {
       PreparedGraph::Prepare(std::move(g), {.renumber = true});
   PrepareArtifactStats before = prepared->artifact_stats();
   EXPECT_EQ(before.execution_graph_builds, 0);
-  EXPECT_EQ(before.component_builds, 0);
   EXPECT_EQ(before.core_bound_builds, 0);
 
   prepared->ExecutionGraph();
@@ -62,16 +61,14 @@ TEST(PreparedGraphTest, ArtifactsBuildLazilyAndOnce) {
 
   PrepareArtifactStats after = prepared->artifact_stats();
   EXPECT_EQ(after.execution_graph_builds, 1);
-  EXPECT_EQ(after.component_builds, 1);
   EXPECT_EQ(after.core_bound_builds, 1);
 
-  // Warmup builds what queries read; no query reads the labeling.
+  // Warmup builds every artifact.
   auto warmed = PreparedGraph::Prepare(MakeRandomGraph({8, 8, 0.5, 7}),
                                        {.renumber = true});
   warmed->Warmup();
   const PrepareArtifactStats warm = warmed->artifact_stats();
   EXPECT_EQ(warm.execution_graph_builds, 1);
-  EXPECT_EQ(warm.component_builds, 0);
   EXPECT_EQ(warm.core_bound_builds, 1);
 }
 
@@ -116,7 +113,7 @@ TEST(PreparedGraphTest, ArtifactsBuildOnceUnderConcurrentSessions) {
   BipartiteGraph g = MakeRandomGraph({10, 10, 0.4, 11});
   auto prepared = PreparedGraph::Prepare(
       std::move(g),
-      {.adjacency_index = AdjacencyAccelMode::kForce, .renumber = true});
+      {.adjacency_index = AdjacencyAccelMode::kAuto, .renumber = true});
 
   // Many sessions over one prepared graph, all racing to build every
   // artifact and to answer the same query; the builds must collapse to one
@@ -146,7 +143,6 @@ TEST(PreparedGraphTest, ArtifactsBuildOnceUnderConcurrentSessions) {
 
   PrepareArtifactStats stats = prepared->artifact_stats();
   EXPECT_EQ(stats.execution_graph_builds, 1);
-  EXPECT_EQ(stats.component_builds, 1);  // every session asked for it
   EXPECT_EQ(stats.core_bound_builds, 1);
   EXPECT_NE(prepared->ExecutionGraph().adjacency_index(), nullptr);
 }
@@ -171,11 +167,6 @@ TEST(PreparedGraphTest, AutoAttachesOnSmallGraphs) {
   EXPECT_GT(index->NumRows(Side::kLeft) + index->NumRows(Side::kRight), 0u);
   EXPECT_EQ(prepared->artifact_stats().adjacency_memory_bytes,
             index->MemoryBytes());
-
-  BipartiteGraph forced = MakeRandomGraph({6, 6, 0.5, 5});
-  auto prepared_force = PreparedGraph::Prepare(
-      std::move(forced), {.adjacency_index = AdjacencyAccelMode::kForce});
-  EXPECT_NE(prepared_force->ExecutionGraph().adjacency_index(), nullptr);
 }
 
 TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
@@ -206,7 +197,7 @@ TEST(QuerySessionTest, RenumberedSessionMatchesSeedForAllAlgorithms) {
     QuerySession seed_path(PreparedGraph::Borrow(g));
     auto prepared = PreparedGraph::Prepare(
         BipartiteGraph(g),
-        {.adjacency_index = AdjacencyAccelMode::kForce, .renumber = true});
+        {.adjacency_index = AdjacencyAccelMode::kAuto, .renumber = true});
     QuerySession session(prepared);
     for (const std::string& name : AllAlgorithms()) {
       EnumerateRequest req = UniversalRequest(name);

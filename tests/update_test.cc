@@ -1,9 +1,9 @@
 // Tests of the incremental update subsystem: batch normalization, the CSR
-// splice, the incremental component relabeling, the patched adjacency
-// index, epoch/snapshot semantics on PreparedGraph, and the end-to-end
-// guarantee that a chain of incremental epochs enumerates exactly like a
-// fresh Prepare of the final graph — every backend, sequential and
-// parallel, under budgeted mixed-representation indexes.
+// splice, the patched adjacency index, epoch/snapshot semantics on
+// PreparedGraph, and the end-to-end guarantee that a chain of incremental
+// epochs enumerates exactly like a fresh Prepare of the final graph —
+// every backend, sequential and parallel, under budgeted
+// mixed-representation indexes.
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -13,7 +13,6 @@
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
 #include "graph/adjacency_index.h"
-#include "graph/components.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "test_support.h"
@@ -131,49 +130,6 @@ TEST(WithEdgeDeltaTest, MatchesFromEdgesOnRandomDeltas) {
           << "seed " << seed << " right " << r;
     }
   }
-}
-
-// ---------------------------------------------------------- relabeling ----
-
-ComponentLabeling FreshLabels(const BipartiteGraph& g) {
-  return LabelConnectedComponents(g);
-}
-
-TEST(IncrementalRelabelTest, MatchesFullRelabelOnRandomDeltas) {
-  // Sparse graphs (p=0.08) have many components, so deltas exercise
-  // merges, splits, and singleton churn; the labeling must match the
-  // from-scratch BFS exactly, numbering included.
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    const BipartiteGraph g = ErdosRenyiProbBipartite(12, 10, 0.08, &rng);
-    const ComponentLabeling old = FreshLabels(g);
-    std::vector<Edge> ins, del;
-    RandomBatch(g, 3, &rng, &ins, &del);
-    std::sort(ins.begin(), ins.end());
-    std::sort(del.begin(), del.end());
-    const BipartiteGraph next = g.WithEdgeDelta(ins, del);
-    const ComponentLabeling got =
-        update::IncrementalRelabel(next, old, ins, del);
-    const ComponentLabeling want = FreshLabels(next);
-    EXPECT_EQ(got.num_components, want.num_components) << "seed " << seed;
-    EXPECT_EQ(got.left, want.left) << "seed " << seed;
-    EXPECT_EQ(got.right, want.right) << "seed " << seed;
-  }
-}
-
-TEST(IncrementalRelabelTest, SplitsAComponent) {
-  // A path l0-r0-l1-r1: deleting the middle edge splits one component
-  // into two.
-  const BipartiteGraph g = MakeGraph(2, 2, {{0, 0}, {1, 0}, {1, 1}});
-  const ComponentLabeling old = FreshLabels(g);
-  ASSERT_EQ(old.num_components, 1);
-  const std::vector<Edge> del = {{1, 0}};
-  const BipartiteGraph next = g.WithEdgeDelta({}, del);
-  const ComponentLabeling got = update::IncrementalRelabel(next, old, {}, del);
-  const ComponentLabeling want = FreshLabels(next);
-  EXPECT_EQ(got.num_components, 2);
-  EXPECT_EQ(got.left, want.left);
-  EXPECT_EQ(got.right, want.right);
 }
 
 // ------------------------------------------------------- patched index ----
@@ -350,7 +306,7 @@ TEST(ApplyUpdatesTest, EmptyBatchStillAdvancesTheEpoch) {
 TEST(UpdateVsRebuildFuzzTest, AllBackendsAgreeAfterUpdateChains) {
   PrepareOptions prep;
   prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
+  prep.adjacency_index = AdjacencyAccelMode::kAuto;
   prep.adjacency_min_degree = 1;
   prep.accel_budget_bytes = 256;  // forces dense/sparse/dropped mix
 

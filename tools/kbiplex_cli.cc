@@ -163,8 +163,8 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
 
 /// The prepare-time artifact policy of the CLI: no flag leaves the graph
 /// exactly as loaded (engines still build a per-run index, matching the
-/// pre-session CLI byte for byte); --accel
-/// attaches the shared index unconditionally; --renumber enumerates on
+/// pre-session CLI byte for byte); --accel attaches the shared index
+/// (AdjacencyAccelMode::kAuto); --renumber enumerates on
 /// the degeneracy-renumbered graph with automatic map-back. The
 /// core-bound short-circuit stays off for the one-shot commands
 /// (enumerate/large answer one query — pre-session stats output,
@@ -173,7 +173,7 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
 PrepareOptions PreparePolicy(const CliArgs& args, bool one_shot) {
   PrepareOptions opts;
   opts.adjacency_index =
-      args.accel ? AdjacencyAccelMode::kForce : AdjacencyAccelMode::kOff;
+      args.accel ? AdjacencyAccelMode::kAuto : AdjacencyAccelMode::kOff;
   opts.accel_budget_bytes = args.accel_budget;
   opts.renumber = args.renumber;
   opts.core_bound_shortcut = !one_shot;

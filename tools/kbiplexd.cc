@@ -3,7 +3,7 @@
 // line-delimited NDJSON protocol on loopback (docs/wire_protocol.md).
 //
 //   kbiplexd [--port N] [--workers N] [--queue N] [--grace SECONDS]
-//            [--accel] [--renumber] [--preload NAME=PATH ...]
+//            [--renumber] [--preload NAME=PATH ...]
 //
 // Prints "kbiplexd listening on 127.0.0.1:PORT" once ready (with --port 0
 // that line is how callers learn the bound port). SIGINT/SIGTERM — or the
@@ -36,7 +36,7 @@ void OnShutdownSignal(int) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--workers N] [--queue N]\n"
-               "          [--grace SECONDS] [--accel] [--renumber]\n"
+               "          [--grace SECONDS] [--renumber]\n"
                "          [--preload NAME=PATH ...]\n",
                argv0);
   return 2;
@@ -79,8 +79,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "kbiplexd: bad --grace '%s'\n", argv[i]);
         return 2;
       }
-    } else if (arg == "--accel") {
-      options.prepare.adjacency_index = kbiplex::AdjacencyAccelMode::kForce;
     } else if (arg == "--renumber") {
       options.prepare.renumber = true;
     } else if (arg == "--preload" && has_value) {
